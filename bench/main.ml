@@ -16,10 +16,8 @@
      dune exec bench/main.exe -- micro         bechamel micro-suite only
      dune exec bench/main.exe -- table2 ...    specific tables (quick)
      dune exec bench/main.exe -- full table5   specific tables (full)
-     dune exec bench/main.exe -- opt table2    add the optimized bytecode
-                                               tier as an extra column
-     dune exec bench/main.exe -- stackvm-json  interpreted-vs-optimized
-                                               tier comparison to
+     dune exec bench/main.exe -- stackvm-json  interpreter-vs-JIT tier
+                                               comparison to
                                                BENCH_stackvm.json
 *)
 
@@ -37,7 +35,7 @@ let micro_techs =
   [
     Technology.Unsafe_c; Technology.Safe_lang; Technology.Safe_lang_nil;
     Technology.Sfi_write_jump; Technology.Sfi_full; Technology.Bytecode_vm;
-    Technology.Bytecode_opt; Technology.Ast_interp;
+    Technology.Jit; Technology.Ast_interp;
   ]
 
 let hot_pages = Array.init 64 (fun i -> 3 * i)
@@ -143,25 +141,18 @@ let run_micro () =
 (* Bytecode tier comparison (machine-readable).                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Interpreted vs optimized vs JIT bytecode tiers over each graft's
-   core op, written as v4 JSON (medians with bootstrap CIs) so CI and
-   plots can track the speedups. The suite, the harness, and the
-   schema live in Graft_report.Benchgate — the same code
-   `graftkit bench` runs. *)
+(* Interpreter vs JIT bytecode tiers over each graft's core op, written
+   as v5 JSON (medians with bootstrap CIs) so CI and plots can track
+   the speedup. The suite, the harness, and the schema live in
+   Graft_report.Benchgate — the same code `graftkit bench` runs. *)
 let stackvm_json ?(path = "BENCH_stackvm.json") () =
   let rows = Graft_report.Benchgate.run_suite () in
   List.iter
     (fun (r : Graft_report.Benchgate.row) ->
       let open Graft_stats.Robust in
-      Printf.printf
-        "%-20s interp %10.1f ns/op   opt %10.1f ns/op   jit %10.1f ns/op   \
-         opt %.2fx   jit %.2fx\n\
-         %!"
+      Printf.printf "%-20s interp %10.1f ns/op   jit %10.1f ns/op   jit %.2fx\n%!"
         r.Graft_report.Benchgate.graft r.Graft_report.Benchgate.interp.median
-        r.Graft_report.Benchgate.opt.median
         r.Graft_report.Benchgate.jit.median
-        (r.Graft_report.Benchgate.interp.median
-        /. r.Graft_report.Benchgate.opt.median)
         (r.Graft_report.Benchgate.interp.median
         /. r.Graft_report.Benchgate.jit.median))
     rows;
@@ -201,12 +192,7 @@ let () =
     if List.mem "full" args then Graft_report.Experiments.Full
     else Graft_report.Experiments.Quick
   in
-  if List.mem "opt" args then
-    Graft_report.Experiments.extra_techs :=
-      [ Technology.Bytecode_opt; Technology.Safe_lang_static; Technology.Jit ];
-  let args =
-    List.filter (fun a -> a <> "full" && a <> "quick" && a <> "opt") args
-  in
+  let args = List.filter (fun a -> a <> "full" && a <> "quick") args in
   let tables = known_tables scale in
   match args with
   | [ "micro" ] -> run_micro ()

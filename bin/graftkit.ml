@@ -144,10 +144,6 @@ let gel_cmd =
               print_string
                 (Graft_stackvm.Disasm.program
                    (Graft_stackvm.Stackvm.load_exn image));
-              print_endline "-- stack VM (optimized) --";
-              print_string
-                (Graft_stackvm.Disasm.program
-                   (Graft_stackvm.Stackvm.load_opt_exn image));
               let static_p = Graft_stackvm.Stackvm.load_static_exn image in
               let elided, total = Graft_stackvm.Stackvm.elision_stats static_p in
               Printf.printf
@@ -176,11 +172,6 @@ let gel_cmd =
                   show
                     (Graft_stackvm.Vm.run
                        (Graft_stackvm.Stackvm.load_exn image)
-                       ~entry ~args:argv ~fuel)
-              | Technology.Bytecode_opt ->
-                  show
-                    (Graft_stackvm.Vm.run_opt
-                       (Graft_stackvm.Stackvm.load_opt_exn image)
                        ~entry ~args:argv ~fuel)
               | Technology.Safe_lang_static ->
                   show
@@ -745,16 +736,6 @@ let profile_cmd =
            Graft_trace.Opprof.create ~names:Graft_stackvm.Opcode.class_names
          in
          let s =
-           Graft_stackvm.Vm.create_session ~profile:prof
-             (Graft_stackvm.Stackvm.load_opt_exn (fresh_image ()))
-         in
-         report "bytecode-opt" prof
-           (repeated (fun () ->
-                Graft_stackvm.Vm.run_session_opt s ~entry ~args:argv ~fuel)));
-        (let prof =
-           Graft_trace.Opprof.create ~names:Graft_stackvm.Opcode.class_names
-         in
-         let s =
            Graft_jit.Jit.create_session ~profile:prof
              (Graft_jit.Jit.load_exn (fresh_image ()))
          in
@@ -840,7 +821,7 @@ let bench_cmd =
   let baseline =
     Arg.(value & opt (some file) None
          & info [ "baseline" ] ~docv:"FILE"
-             ~doc:"Baseline JSON (v2, v3 or v4) to compare against.")
+             ~doc:"Baseline JSON (schema v5) to compare against.")
   in
   let check =
     Arg.(value & flag
@@ -851,7 +832,7 @@ let bench_cmd =
   let save =
     Arg.(value & opt (some string) None
          & info [ "save-baseline" ] ~docv:"FILE"
-             ~doc:"Write the fresh results as a v4 baseline to $(docv).")
+             ~doc:"Write the fresh results as a v5 baseline to $(docv).")
   in
   let threshold =
     Arg.(value & opt (some float) None
@@ -868,8 +849,7 @@ let bench_cmd =
     let rows = Graft_report.Benchgate.run_suite ~config () in
     let t =
       Graft_util.Tablefmt.create
-        [| "Graft"; "interp"; "opt"; "jit"; "opt-speedup"; "jit-speedup";
-           "rounds" |]
+        [| "Graft"; "interp"; "jit"; "jit-speedup"; "rounds" |]
     in
     List.iter
       (fun (r : Graft_report.Benchgate.row) ->
@@ -882,16 +862,9 @@ let bench_cmd =
               r.Graft_report.Benchgate.interp.ci95_lo
               r.Graft_report.Benchgate.interp.ci95_hi;
             Printf.sprintf "%.1f ns [%.1f, %.1f]"
-              r.Graft_report.Benchgate.opt.median
-              r.Graft_report.Benchgate.opt.ci95_lo
-              r.Graft_report.Benchgate.opt.ci95_hi;
-            Printf.sprintf "%.1f ns [%.1f, %.1f]"
               r.Graft_report.Benchgate.jit.median
               r.Graft_report.Benchgate.jit.ci95_lo
               r.Graft_report.Benchgate.jit.ci95_hi;
-            Printf.sprintf "%.2fx"
-              (r.Graft_report.Benchgate.interp.median
-              /. r.Graft_report.Benchgate.opt.median);
             Printf.sprintf "%.2fx"
               (r.Graft_report.Benchgate.interp.median
               /. r.Graft_report.Benchgate.jit.median);
@@ -912,8 +885,9 @@ let bench_cmd =
         end
     | Some path -> (
         match Graft_report.Benchgate.load_baseline path with
-        | Error msg ->
-            prerr_endline ("bench: " ^ msg);
+        | Error e ->
+            prerr_endline
+              ("bench: " ^ Graft_report.Benchgate.baseline_error_message e);
             exit 2
         | Ok base ->
             let checks =

@@ -44,13 +44,11 @@ let script_fail = function
 type gel_env = { image : Link.image; windows : (string * Memory.region) list }
 
 (** Compile [source] and link it into a fresh power-of-two memory with
-    the given shared windows (name, length, writable). [optimize] runs
-    the IR optimizer (the optimized tier's pre-pass) before linking.
-    [hosts] resolves extern declarations (e.g. the graft-map helper
+    the given shared windows (name, length, writable). [hosts] resolves extern declarations (e.g. the graft-map helper
     dispatchers from {!Graft_kernel.Graftmap.hosts}). *)
-let gel_env ?(optimize = false) ?(hosts = []) source windows =
+let gel_env ?(hosts = []) source windows =
   let prog =
-    match Gel.compile ~optimize source with
+    match Gel.compile source with
     | Ok p -> p
     | Error e -> failwith ("GEL graft does not compile: " ^ Srcloc.to_string e)
   in
@@ -105,13 +103,6 @@ let gel_entry ?maps ?(bounded = false) (tech : Technology.t) (env : gel_env) :
       fun ~entry ~args ->
         run_fail
           (Graft_stackvm.Vm.run_session session ~entry ~args ~fuel:huge_fuel)
-  | Technology.Bytecode_opt ->
-      let p = Graft_stackvm.Stackvm.load_opt_exn ?maps ~bounded env.image in
-      let session = Graft_stackvm.Vm.create_session p in
-      fun ~entry ~args ->
-        run_fail
-          (Graft_stackvm.Vm.run_session_opt session ~entry ~args
-             ~fuel:huge_fuel)
   | Technology.Safe_lang_static ->
       let p = Graft_stackvm.Stackvm.load_static_exn ?maps ~bounded env.image in
       let session = Graft_stackvm.Vm.create_session p in
@@ -200,9 +191,7 @@ let native_evict (module A : Access.S) tech ~capacity_nodes ~rng =
 let gel_evict tech ~capacity_nodes ~rng =
   let cells_len = evict_cells capacity_nodes in
   let env =
-    gel_env
-      ~optimize:(tech = Technology.Bytecode_opt)
-      (Gel_sources.evict ~heap_cells:cells_len)
+    gel_env (Gel_sources.evict ~heap_cells:cells_len)
       [ ("heap", cells_len, false) ]
   in
   let w = window env "heap" in
@@ -272,9 +261,8 @@ let evict ?rng (tech : Technology.t) ~capacity_nodes () : evict =
       native_evict (module Access.Sfi_wj) tech ~capacity_nodes ~rng
   | Technology.Sfi_full ->
       native_evict (module Access.Sfi_full) tech ~capacity_nodes ~rng
-  | Technology.Bytecode_vm | Technology.Bytecode_opt | Technology.Safe_lang_static
-  | Technology.Jit | Technology.Ast_interp
-    ->
+  | Technology.Bytecode_vm | Technology.Safe_lang_static | Technology.Jit
+  | Technology.Ast_interp ->
       gel_evict tech ~capacity_nodes ~rng
   | Technology.Source_interp -> script_evict ~capacity_nodes ~rng
   | Technology.Upcall_server ->
@@ -369,9 +357,7 @@ let native_md5 (module A : Access.S) tech ~capacity =
   {
     m_tech = tech;
     load = (fun data -> Bytes.blit data 0 buf 0 (Bytes.length data));
-    compute =
-      (fun n ->
-        last := M.digest (if n = capacity then buf else Bytes.sub buf 0 n));
+    compute = (fun n -> last := M.digest ~len:n buf);
     digest_hex = (fun () -> Graft_md5.Md5.to_hex !last);
   }
 
@@ -390,9 +376,7 @@ let load_bytes_into_cells cells base data =
 let gel_md5 tech ~capacity =
   let data_cells = capacity + 128 in
   let env =
-    gel_env
-      ~optimize:(tech = Technology.Bytecode_opt)
-      (Gel_sources.md5 ~data_cells)
+    gel_env (Gel_sources.md5 ~data_cells)
       [ ("data", data_cells, true); ("digest", 16, true) ]
   in
   let data_w = window env "data" in
@@ -448,9 +432,8 @@ let md5 (tech : Technology.t) ~capacity : md5 =
   | Technology.Sfi_write_jump ->
       native_md5 (module Access.Sfi_wj) tech ~capacity
   | Technology.Sfi_full -> native_md5 (module Access.Sfi_full) tech ~capacity
-  | Technology.Bytecode_vm | Technology.Bytecode_opt | Technology.Safe_lang_static
-  | Technology.Jit | Technology.Ast_interp
-    ->
+  | Technology.Bytecode_vm | Technology.Safe_lang_static | Technology.Jit
+  | Technology.Ast_interp ->
       gel_md5 tech ~capacity
   | Technology.Source_interp -> script_md5 ~capacity
   | Technology.Upcall_server ->
@@ -469,11 +452,7 @@ let native_logdisk (module A : Access.S) ~nblocks =
   L.make_policy ~nblocks ()
 
 let gel_logdisk tech ~nblocks =
-  let env =
-    gel_env
-      ~optimize:(tech = Technology.Bytecode_opt)
-      (Gel_sources.logdisk ~nblocks) []
-  in
+  let env = gel_env (Gel_sources.logdisk ~nblocks) [] in
   let entry = gel_entry tech env in
   {
     Graft_kernel.Logdisk.pname = Technology.name tech;
@@ -535,9 +514,8 @@ let logdisk_policy (tech : Technology.t) ~nblocks : Graft_kernel.Logdisk.policy
       native_logdisk (module Access.Checked_nil) ~nblocks
   | Technology.Sfi_write_jump -> native_logdisk (module Access.Sfi_wj) ~nblocks
   | Technology.Sfi_full -> native_logdisk (module Access.Sfi_full) ~nblocks
-  | Technology.Bytecode_vm | Technology.Bytecode_opt | Technology.Safe_lang_static
-  | Technology.Jit | Technology.Ast_interp
-    ->
+  | Technology.Bytecode_vm | Technology.Safe_lang_static | Technology.Jit
+  | Technology.Ast_interp ->
       gel_logdisk tech ~nblocks
   | Technology.Source_interp -> script_logdisk ~nblocks
   | Technology.Upcall_server ->
@@ -583,9 +561,7 @@ let packet_filter (tech : Technology.t) ~protocol ~port :
   let gel_based () =
     let env =
       gel_env
-        ~optimize:(tech = Technology.Bytecode_opt)
-        (Gel_sources.packet_filter ~window_cells:pkt_window_cells ~protocol
-           ~port)
+        (Gel_sources.packet_filter ~window_cells:pkt_window_cells ~protocol ~port)
         [ ("pkt", pkt_window_cells, false) ]
     in
     let w = window env "pkt" in
@@ -609,9 +585,8 @@ let packet_filter (tech : Technology.t) ~protocol ~port :
       | Ok () -> ()
       | Error msg -> failwith ("packet filter failed verification: " ^ msg));
       fun pkt -> Graft_kernel.Pfvm.accepts p pkt
-  | Technology.Bytecode_vm | Technology.Bytecode_opt | Technology.Safe_lang_static
-  | Technology.Jit | Technology.Ast_interp
-    ->
+  | Technology.Bytecode_vm | Technology.Safe_lang_static | Technology.Jit
+  | Technology.Ast_interp ->
       gel_based ()
   | Technology.Source_interp ->
       let mem = Memory.create (pkt_window_cells + 8) in
@@ -665,9 +640,7 @@ let demux (tech : Technology.t) ~protocol ~marker : demux =
   let gel_based () =
     let maps = [| conn |] in
     let env =
-      gel_env
-        ~optimize:(tech = Technology.Bytecode_opt)
-        ~hosts:(map_hosts maps)
+      gel_env ~hosts:(map_hosts maps)
         (Gel_sources.demux ~window_cells:pkt_window_cells ~protocol ~marker)
         [ ("pkt", pkt_window_cells, false) ]
     in
@@ -682,9 +655,8 @@ let demux (tech : Technology.t) ~protocol ~marker : demux =
   in
   let fn =
     match tech with
-    | Technology.Ast_interp | Technology.Bytecode_vm | Technology.Bytecode_opt
-    | Technology.Safe_lang_static | Technology.Jit | Technology.Sfi_write_jump
-    | Technology.Sfi_full ->
+    | Technology.Ast_interp | Technology.Bytecode_vm | Technology.Safe_lang_static
+    | Technology.Jit | Technology.Sfi_write_jump | Technology.Sfi_full ->
         gel_based ()
     | Technology.Specialized_vm ->
         let scratch = Graft_kernel.Graftmap.create_array ~name:"scratch" 1 in
@@ -713,11 +685,7 @@ type hotset = {
 let hotset (tech : Technology.t) ~capacity : hotset =
   let m = Graft_kernel.Graftmap.create_lru ~name:"hotset" capacity in
   let maps = [| m |] in
-  let env =
-    gel_env
-      ~optimize:(tech = Technology.Bytecode_opt)
-      ~hosts:(map_hosts maps) Gel_sources.hotset []
-  in
+  let env = gel_env ~hosts:(map_hosts maps) Gel_sources.hotset [] in
   let entry = gel_entry ~maps ~bounded:true tech env in
   {
     h_tech = tech;

@@ -37,13 +37,11 @@ type gel_env = {
 }
 
 (** Compile [source] and link it into a fresh power-of-two memory with
-    the given shared windows (name, length, writable). [optimize] runs
-    the IR optimizer before linking. [hosts] resolves extern
-    declarations (e.g. the graft-map helper dispatchers from
+    the given shared windows (name, length, writable). [hosts] resolves
+    extern declarations (e.g. the graft-map helper dispatchers from
     {!Graft_kernel.Graftmap.hosts}). Raises [Failure] if the source
     does not compile or link. *)
 val gel_env :
-  ?optimize:bool ->
   ?hosts:Graft_gel.Link.host list ->
   string ->
   (string * int * bool) list ->

@@ -16,10 +16,6 @@ type t =
   | Sfi_write_jump  (** paper: "Omniware" beta — stores masked *)
   | Sfi_full  (** ablation A2: full read+write+jump SFI *)
   | Bytecode_vm  (** paper: "Java" — stack bytecode interpreter *)
-  | Bytecode_opt
-      (** the optimizing bytecode tier: IR pre-pass, superinstruction
-          fusion, and a top-of-stack-cached dispatch loop — a stand-in
-          for the JIT column the paper projects for Java *)
   | Safe_lang_static
       (** the statically-checked tier: abstract interpretation over the
           IR proves bounds and divisors, the bytecode carries the
@@ -41,8 +37,8 @@ type t =
 let all =
   [
     Unsafe_c; Upcall_server; Safe_lang; Safe_lang_nil; Sfi_write_jump;
-    Sfi_full; Bytecode_vm; Bytecode_opt; Safe_lang_static; Jit; Ast_interp;
-    Source_interp; Specialized_vm;
+    Sfi_full; Bytecode_vm; Safe_lang_static; Jit; Ast_interp; Source_interp;
+    Specialized_vm;
   ]
 
 (** The five technologies the paper's tables print, in column order. *)
@@ -56,7 +52,6 @@ let name = function
   | Sfi_write_jump -> "sfi-wj"
   | Sfi_full -> "sfi-full"
   | Bytecode_vm -> "bytecode-vm"
-  | Bytecode_opt -> "bytecode-opt"
   | Safe_lang_static -> "safe-lang-static"
   | Jit -> "jit"
   | Ast_interp -> "ast-interp"
@@ -72,7 +67,6 @@ let paper_name = function
   | Sfi_write_jump -> "Omniware"
   | Sfi_full -> "SFI (full protection)"
   | Bytecode_vm -> "Java"
-  | Bytecode_opt -> "Java+JIT (projected)"
   | Safe_lang_static -> "Modula-3 + static checks"
   | Jit -> "Java+JIT (measured)"
   | Ast_interp -> "AST interpreter"
@@ -84,8 +78,7 @@ let trust = function
   | Upcall_server -> Hardware
   | Safe_lang | Safe_lang_nil | Safe_lang_static -> Software_checks
   | Sfi_write_jump | Sfi_full -> Software_isolation
-  | Bytecode_vm | Bytecode_opt | Jit | Ast_interp | Source_interp
-  | Specialized_vm ->
+  | Bytecode_vm | Jit | Ast_interp | Source_interp | Specialized_vm ->
       Interpretation
 
 let trust_name = function

@@ -50,8 +50,8 @@ let predicted tech (fault : Faultinject.fault_class) : Sabotage.outcome =
      key and the barrier quarantines, even under SFI (a kernel-object
      fault is not a store to be masked). *)
   | ( ( Technology.Ast_interp | Technology.Bytecode_vm
-      | Technology.Bytecode_opt | Technology.Safe_lang_static
-      | Technology.Jit | Technology.Sfi_write_jump | Technology.Sfi_full ),
+      | Technology.Safe_lang_static | Technology.Jit | Technology.Sfi_write_jump
+      | Technology.Sfi_full ),
       Faultinject.Runaway_loop ) ->
       Sabotage.Load_rejected
   | _ -> Sabotage.Exception_barrier

@@ -250,7 +250,6 @@ let map_hosts maps =
 let vm_entry tech =
   let env =
     Runners.gel_env
-      ~optimize:(tech = Technology.Bytecode_opt)
       ~hosts:(map_hosts [| K.Graftmap.create_array ~name:"jail-map" 8 |])
       gel_saboteur
       [ ("win", wlen, true) ]
@@ -269,11 +268,6 @@ let vm_entry tech =
       let s = Graft_stackvm.Vm.create_session p in
       fun ~entry ~args ->
         fail (Graft_stackvm.Vm.run_session s ~entry ~args ~fuel:vm_fuel)
-  | Technology.Bytecode_opt ->
-      let p = Graft_stackvm.Stackvm.load_opt_exn env.Runners.image in
-      let s = Graft_stackvm.Vm.create_session p in
-      fun ~entry ~args ->
-        fail (Graft_stackvm.Vm.run_session_opt s ~entry ~args ~fuel:vm_fuel)
   | Technology.Safe_lang_static ->
       let p = Graft_stackvm.Stackvm.load_static_exn env.Runners.image in
       let s = Graft_stackvm.Vm.create_session p in
@@ -506,8 +500,8 @@ let run_cell_by_tech tech fault =
       native_cell (module Access.Checked_nil) tech fault
   | Technology.Sfi_write_jump -> native_cell (module Access.Sfi_wj) tech fault
   | Technology.Sfi_full -> native_cell (module Access.Sfi_full) tech fault
-  | Technology.Bytecode_vm | Technology.Bytecode_opt
-  | Technology.Safe_lang_static | Technology.Jit | Technology.Ast_interp ->
+  | Technology.Bytecode_vm | Technology.Safe_lang_static | Technology.Jit
+  | Technology.Ast_interp ->
       vm_cell tech fault
   | Technology.Source_interp -> script_cell fault
   | Technology.Upcall_server -> upcall_cell fault

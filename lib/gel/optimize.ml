@@ -8,7 +8,8 @@
     programs may run on less fuel.
 
     The cross-engine fuzzer (test/test_fuzz.ml) checks optimized
-    programs against unoptimized ones on all engines. *)
+    programs against unoptimized ones on the AST interpreter and the
+    bytecode VM. *)
 
 (* An expression is pure when evaluating it can neither fault nor have
    effects — only those may be deleted or duplicated. *)
@@ -80,9 +81,9 @@ and arith kind op a b =
       | exception Graft_mem.Fault.Fault _ -> Ir.Arith (kind, op, a, b))
   | _ -> (
       (* Canonicalize the constant of a commutative operator to the
-         right, so the bytecode peephole sees [operand; Const k; op]
-         shapes it can fuse. Constant evaluation has no effects, so
-         reordering it past the other operand is unobservable. *)
+         right, so the stack VM sees one [operand; Const k; op] shape.
+         Constant evaluation has no effects, so reordering it past the
+         other operand is unobservable. *)
       let a, b =
         match (op, a, b) with
         | (Ir.Add | Ir.Mul | Ir.Band | Ir.Bor | Ir.Bxor), (Ir.Const _ as c), e

@@ -74,11 +74,14 @@ module Make (A : Access.S) = struct
     ctx.c <- (ctx.c + !c) land mask;
     ctx.d <- (ctx.d + !d) land mask
 
-  (** One-shot digest of [buf]. The trailing partial block and padding
-      are staged in a 128-byte tail buffer, as the RFC reference does. *)
-  let digest (buf : bytes) : string =
+  (** One-shot digest of the first [len] bytes of [buf] (default: all
+      of it). The buffer itself stays whole, so a masking regime keeps
+      confining reads to its power-of-two container. The trailing
+      partial block and padding are staged in a 128-byte tail buffer,
+      as the RFC reference does. *)
+  let digest ?len (buf : bytes) : string =
     let ctx = init () in
-    let len = Bytes.length buf in
+    let len = Option.value len ~default:(Bytes.length buf) in
     let nblocks = len / 64 in
     for blk = 0 to nblocks - 1 do
       transform ctx buf (blk * 64)

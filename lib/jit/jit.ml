@@ -26,7 +26,7 @@
       the same fuel charge.
     - {b profiling}: a [?profile] session counts every executed
       opcode through {!Graft_trace.Opprof.hit} with the same class
-      index and width the interpreter reports, so JIT and interpreter
+      index and fuel the interpreter reports, so JIT and interpreter
       traces agree bit for bit.
 
     One deliberate deviation, invisible to every test and graft we
@@ -79,19 +79,47 @@ type plan = {
 
 type t = { plan : plan }
 
-(* The JIT compiles the *unfused* static-tier bytecode: fused
-   superinstructions exist to amortize interpreter dispatch, which the
-   closure threading removes wholesale, and their multi-step fuel
-   charges would complicate the per-instruction parity argument for no
-   gain. *)
-let reject_fused code =
-  Array.iter
-    (fun op ->
-      if Opcode.width op > 1 then
-        failwith
-          (Printf.sprintf "graftjit: fused opcode %s in input"
-             (Opcode.to_string op)))
-    code
+(* Operator selectors for the JIT's own superinstructions (see
+   [fused] in [compile_blocks]): one closure builder serves every
+   binary operator or comparison by calling [bink_fn]/[cmp_fn].
+   Division is absent on purpose: a fused run never contains an
+   instruction that can fault. *)
+type bink =
+  | KAdd | KSub | KMul
+  | KShl | KShr | KLshr
+  | KBand | KBor | KBxor
+  | KWadd | KWsub | KWmul | KWshl | KWshr
+
+type cmp = Clt | Cle | Cgt | Cge | Ceq | Cne
+
+(* Uncurried on purpose: a fully-applied known function costs one
+   direct call where a selector-returns-closure shape costs two
+   indirect ones. *)
+let bink_fn op a b =
+  match op with
+  | KAdd -> a + b
+  | KSub -> a - b
+  | KMul -> a * b
+  | KShl -> Wordops.int_shl a b
+  | KShr -> Wordops.int_shr a b
+  | KLshr -> Wordops.int_lshr a b
+  | KBand -> a land b
+  | KBor -> a lor b
+  | KBxor -> a lxor b
+  | KWadd -> Wordops.add a b
+  | KWsub -> Wordops.sub a b
+  | KWmul -> Wordops.mul a b
+  | KWshl -> Wordops.shl a b
+  | KWshr -> Wordops.shr a b
+
+let cmp_fn c a b =
+  match c with
+  | Clt -> a < b
+  | Cle -> a <= b
+  | Cgt -> a > b
+  | Cge -> a >= b
+  | Ceq -> a = b
+  | Cne -> a <> b
 
 (* Pass-1 of [Verify], re-run: single consistent stack height per
    reachable pc. The program is already verified, so inconsistency
@@ -136,7 +164,6 @@ let derive_heights (p : Program.t) heights fmax fi (f : Program.funcdesc) =
   done
 
 let build_plan (prog : Program.t) : plan =
-  reject_fused prog.Program.code;
   let code = prog.Program.code in
   let ncode = Array.length code in
   let nfuncs = Array.length prog.Program.funcs in
@@ -264,15 +291,15 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
   let code = p.Program.code in
   let cells = p.Program.cells in
   (* Map a plain binary opcode onto the fused-operand selector so the
-     generic builder can reuse [Opcode.bink_fn] (a direct call). *)
+     generic builder can reuse [bink_fn] (a direct call). *)
   let bink_of = function
-    | Opcode.Mul -> Opcode.KMul
-    | Opcode.Shl -> Opcode.KShl
-    | Opcode.Shr -> Opcode.KShr
-    | Opcode.Lshr -> Opcode.KLshr
-    | Opcode.Wmul -> Opcode.KWmul
-    | Opcode.Wshl -> Opcode.KWshl
-    | Opcode.Wshr -> Opcode.KWshr
+    | Opcode.Mul -> KMul
+    | Opcode.Shl -> KShl
+    | Opcode.Shr -> KShr
+    | Opcode.Lshr -> KLshr
+    | Opcode.Wmul -> KWmul
+    | Opcode.Wshl -> KWshl
+    | Opcode.Wshr -> KWshr
     | op ->
         failwith ("graftjit: no selector for " ^ Opcode.to_string op)
   in
@@ -308,29 +335,29 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
         | None -> comp1 pc h
       and fused pc h : (unit -> int) option =
         let sel = function
-          | Opcode.Add -> Some Opcode.KAdd
-          | Opcode.Sub -> Some Opcode.KSub
-          | Opcode.Mul -> Some Opcode.KMul
-          | Opcode.Band -> Some Opcode.KBand
-          | Opcode.Bor -> Some Opcode.KBor
-          | Opcode.Bxor -> Some Opcode.KBxor
-          | Opcode.Shl -> Some Opcode.KShl
-          | Opcode.Shr -> Some Opcode.KShr
-          | Opcode.Lshr -> Some Opcode.KLshr
-          | Opcode.Wadd -> Some Opcode.KWadd
-          | Opcode.Wsub -> Some Opcode.KWsub
-          | Opcode.Wmul -> Some Opcode.KWmul
-          | Opcode.Wshl -> Some Opcode.KWshl
-          | Opcode.Wshr -> Some Opcode.KWshr
+          | Opcode.Add -> Some KAdd
+          | Opcode.Sub -> Some KSub
+          | Opcode.Mul -> Some KMul
+          | Opcode.Band -> Some KBand
+          | Opcode.Bor -> Some KBor
+          | Opcode.Bxor -> Some KBxor
+          | Opcode.Shl -> Some KShl
+          | Opcode.Shr -> Some KShr
+          | Opcode.Lshr -> Some KLshr
+          | Opcode.Wadd -> Some KWadd
+          | Opcode.Wsub -> Some KWsub
+          | Opcode.Wmul -> Some KWmul
+          | Opcode.Wshl -> Some KWshl
+          | Opcode.Wshr -> Some KWshr
           | _ -> None
         in
         let cmp_of = function
-          | Opcode.Lt -> Some Opcode.Clt
-          | Opcode.Le -> Some Opcode.Cle
-          | Opcode.Gt -> Some Opcode.Cgt
-          | Opcode.Ge -> Some Opcode.Cge
-          | Opcode.Eq -> Some Opcode.Ceq
-          | Opcode.Ne -> Some Opcode.Cne
+          | Opcode.Lt -> Some Clt
+          | Opcode.Le -> Some Cle
+          | Opcode.Gt -> Some Cgt
+          | Opcode.Ge -> Some Cge
+          | Opcode.Eq -> Some Ceq
+          | Opcode.Ne -> Some Cne
           | _ -> None
         in
         let usel = function
@@ -402,7 +429,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 let f = st.fuel - 4 in
                 st.fuel <- f;
                 if f < 0 then Fault.raise_fault Fault.Fuel_exhausted;
-                if Opcode.cmp_fn c (Array.unsafe_get st.locals n) k = jnz
+                if cmp_fn c (Array.unsafe_get st.locals n) k = jnz
                 then tgt
                 else fall)
         (* [const k; cmp; jz/jnz t] *)
@@ -421,7 +448,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 let f = st.fuel - 3 in
                 st.fuel <- f;
                 if f < 0 then Fault.raise_fault Fault.Fuel_exhausted;
-                if Opcode.cmp_fn c (Array.unsafe_get stack (st.bp + ia)) k = jnz
+                if cmp_fn c (Array.unsafe_get stack (st.bp + ia)) k = jnz
                 then tgt
                 else fall)
         (* [cmp; jz/jnz t] *)
@@ -439,7 +466,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 if f < 0 then Fault.raise_fault Fault.Fuel_exhausted;
                 let base = st.bp in
                 if
-                  Opcode.cmp_fn c
+                  cmp_fn c
                     (Array.unsafe_get stack (base + ia))
                     (Array.unsafe_get stack (base + ib))
                   = jnz
@@ -460,7 +487,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                   fun () -> Array.unsafe_get st.locals n
               | Opcode.Const k -> fun () -> k
               | op1 ->
-                  let fn = Opcode.bink_fn (force (sel op1)) in
+                  let fn = bink_fn (force (sel op1)) in
                   let ia = h - 2 and ib = h - 1 in
                   fun () ->
                     let base = st.bp in
@@ -538,7 +565,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
         (* [lload a; lload b; op] *)
         | Some (Opcode.Load_local a), Some (Opcode.Load_local b), Some op3, _
           when sel op3 <> None ->
-            let fn = Opcode.bink_fn (force (sel op3)) in
+            let fn = bink_fn (force (sel op3)) in
             let kk = comp (pc + 3) (h + 1) in
             let i0 = h in
             Some
@@ -553,7 +580,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
         (* [lload n; const k; op] *)
         | Some (Opcode.Load_local n), Some (Opcode.Const k), Some op3, _
           when sel op3 <> None ->
-            let fn = Opcode.bink_fn (force (sel op3)) in
+            let fn = bink_fn (force (sel op3)) in
             let kk = comp (pc + 3) (h + 1) in
             let i0 = h in
             Some
@@ -567,7 +594,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
         (* [const k; lload n; op] — konst-first binop (e.g. 32 - n). *)
         | Some (Opcode.Const k), Some (Opcode.Load_local n), Some op3, _
           when sel op3 <> None ->
-            let fn = Opcode.bink_fn (force (sel op3)) in
+            let fn = bink_fn (force (sel op3)) in
             let kk = comp (pc + 3) (h + 1) in
             let i0 = h in
             Some
@@ -582,7 +609,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
            binop (the md5 round's x[k] / t[i] adds). *)
         | Some (Opcode.Load_local n), Some (Opcode.Aload_u arr), Some op3, _
           when sel op3 <> None ->
-            let fn = Opcode.bink_fn (force (sel op3)) in
+            let fn = bink_fn (force (sel op3)) in
             let base0 = p.Program.arrays.(arr).Program.base in
             let kk = comp (pc + 3) h in
             let ia = h - 1 in
@@ -690,7 +717,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 kk ())
         (* [const k; op] *)
         | Some (Opcode.Const k), Some op2, _, _ when sel op2 <> None ->
-            let fn = Opcode.bink_fn (force (sel op2)) in
+            let fn = bink_fn (force (sel op2)) in
             let kk = comp (pc + 2) h in
             let ia = h - 1 in
             Some
@@ -729,7 +756,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 kk ())
         (* [lload n; op] *)
         | Some (Opcode.Load_local n), Some op2, _, _ when sel op2 <> None ->
-            let fn = Opcode.bink_fn (force (sel op2)) in
+            let fn = bink_fn (force (sel op2)) in
             let kk = comp (pc + 2) h in
             let ia = h - 1 in
             Some
@@ -757,7 +784,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 kk ())
         (* [op; lstore d] *)
         | Some op1, Some (Opcode.Store_local d), _, _ when sel op1 <> None ->
-            let fn = Opcode.bink_fn (force (sel op1)) in
+            let fn = bink_fn (force (sel op1)) in
             let kk = comp (pc + 2) (h - 2) in
             let ia = h - 2 and ib = h - 1 in
             Some
@@ -774,8 +801,8 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
         (* [op1; op2] — two stacked binops: op2 combines the value
            under op1's operands with op1's result (e.g. wlshr; wor). *)
         | Some op1, Some op2, _, _ when sel op1 <> None && sel op2 <> None ->
-            let f1 = Opcode.bink_fn (force (sel op1)) in
-            let f2 = Opcode.bink_fn (force (sel op2)) in
+            let f1 = bink_fn (force (sel op1)) in
+            let f2 = bink_fn (force (sel op2)) in
             let kk = comp (pc + 2) (h - 2) in
             let ia = h - 3 and ib = h - 2 and ic = h - 1 in
             Some
@@ -835,7 +862,6 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
         else begin
           let instr = code.(pc) in
           let idx = Opcode.index instr in
-          (* All instructions here are plain (width 1): [reject_fused]. *)
           let note () =
             match prof with
             | None -> ()
@@ -1097,7 +1123,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 charge ();
                 let base = st.bp in
                 Array.unsafe_set stack (base + ia)
-                  (Opcode.bink_fn sel
+                  (bink_fn sel
                      (Array.unsafe_get stack (base + ia))
                      (Array.unsafe_get stack (base + ib)));
                 k ()
@@ -1127,12 +1153,12 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
           | Opcode.Ne ->
               let c =
                 match instr with
-                | Opcode.Lt -> Opcode.Clt
-                | Opcode.Le -> Opcode.Cle
-                | Opcode.Gt -> Opcode.Cgt
-                | Opcode.Ge -> Opcode.Cge
-                | Opcode.Eq -> Opcode.Ceq
-                | _ -> Opcode.Cne
+                | Opcode.Lt -> Clt
+                | Opcode.Le -> Cle
+                | Opcode.Gt -> Cgt
+                | Opcode.Ge -> Cge
+                | Opcode.Eq -> Ceq
+                | _ -> Cne
               in
               let k = rest () in
               let ia = h - 2 and ib = h - 1 in
@@ -1141,7 +1167,7 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
                 let base = st.bp in
                 Array.unsafe_set stack (base + ia)
                   (if
-                     Opcode.cmp_fn c
+                     cmp_fn c
                        (Array.unsafe_get stack (base + ia))
                        (Array.unsafe_get stack (base + ib))
                    then 1
@@ -1247,9 +1273,6 @@ let compile_blocks (plan : plan) (st : state) (stack : int array)
               fun () ->
                 charge ();
                 Fault.raise_fault (Fault.Illegal_instruction "halt")
-          | op ->
-              (* Fused opcodes were rejected at load. *)
-              failwith ("graftjit: cannot compile " ^ Opcode.to_string op)
         end
       in
       comp bi.b_start bi.b_h0

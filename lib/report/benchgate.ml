@@ -2,17 +2,15 @@
 
    Three pieces:
 
-   1. {!run_suite} — the interpreted-vs-optimized tier comparison over
-      each graft's core operation, timed by the shared harness
-      (interleaved rounds, GC fences, CI-driven repetition) instead of
-      the best-of-7 loop bench/main.ml used to hand-roll.
+   1. {!run_suite} — the interpreter-vs-JIT comparison over each
+      graft's core operation, timed by the shared harness (interleaved
+      rounds, GC fences, CI-driven repetition).
 
    2. {!to_json} / {!parse_baseline} — the BENCH_stackvm.json schema,
-      now v4: every number carries its bootstrap CI and CV, under the
-      shared envelope, and each row gains the Graftjit tier's columns.
-      v3 baselines (no jit fields) and v2 baselines (bare points)
-      still parse — absent jit columns simply produce no jit checks,
-      and bare points become degenerate intervals.
+      v5: every number carries its bootstrap CI and CV, under the
+      shared envelope. A baseline of any other schema version is
+      refused with {!Schema}, naming the version found; regenerate it
+      with [graftkit bench --save-baseline].
 
    3. {!gate} — the noise-aware comparison. A graft regresses only
       when the new CI and the baseline CI are disjoint (the difference
@@ -27,13 +25,12 @@ open Graft_core
 type row = {
   graft : string;
   interp : Graft_stats.Robust.estimate;  (** ns per op *)
-  opt : Graft_stats.Robust.estimate;  (** ns per op *)
   jit : Graft_stats.Robust.estimate;  (** ns per op *)
   rounds : int;
 }
 
 (* ------------------------------------------------------------------ *)
-(* The suite: each graft's core op under both bytecode tiers.          *)
+(* The suite: each graft's core op on the interpreter and the JIT.    *)
 (* ------------------------------------------------------------------ *)
 
 let hot_pages = Array.init 64 (fun i -> 3 * i)
@@ -101,40 +98,34 @@ let run_suite ?(config = Graft_stats.Harness.quick) () =
       let thunks =
         [|
           Graft_stats.Harness.stage (mk Technology.Bytecode_vm);
-          Graft_stats.Harness.stage (mk Technology.Bytecode_opt);
           Graft_stats.Harness.stage (mk Technology.Jit);
         |]
       in
       let ms = Graft_stats.Harness.interleaved ~config thunks in
-      let interp = ms.(0) and opt = ms.(1) and jit = ms.(2) in
+      let interp = ms.(0) and jit = ms.(1) in
       {
         graft = name;
         interp = ns interp.Graft_stats.Harness.est;
-        opt = ns opt.Graft_stats.Harness.est;
         jit = ns jit.Graft_stats.Harness.est;
         rounds = Array.length interp.Graft_stats.Harness.samples;
       })
     suite
 
 (* ------------------------------------------------------------------ *)
-(* Schema v4 JSON.                                                     *)
+(* Schema v5 JSON.                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let schema_version = 4
+let schema_version = 5
 
 let row_json r =
   let open Graft_stats.Robust in
   Printf.sprintf
     "  { \"graft\": %S, \"interp_ns_per_op\": %.1f, \"interp_ci95_lo\": %.1f, \
-     \"interp_ci95_hi\": %.1f, \"interp_cv\": %.4f, \"opt_ns_per_op\": %.1f, \
-     \"opt_ci95_lo\": %.1f, \"opt_ci95_hi\": %.1f, \"opt_cv\": %.4f, \
-     \"jit_ns_per_op\": %.1f, \"jit_ci95_lo\": %.1f, \"jit_ci95_hi\": %.1f, \
-     \"jit_cv\": %.4f, \"rounds\": %d, \"speedup\": %.2f, \
-     \"jit_speedup\": %.2f }"
+     \"interp_ci95_hi\": %.1f, \"interp_cv\": %.4f, \"jit_ns_per_op\": %.1f, \
+     \"jit_ci95_lo\": %.1f, \"jit_ci95_hi\": %.1f, \"jit_cv\": %.4f, \
+     \"rounds\": %d, \"jit_speedup\": %.2f }"
     r.graft r.interp.median r.interp.ci95_lo r.interp.ci95_hi r.interp.cv
-    r.opt.median r.opt.ci95_lo r.opt.ci95_hi r.opt.cv r.jit.median
-    r.jit.ci95_lo r.jit.ci95_hi r.jit.cv r.rounds
-    (r.interp.median /. r.opt.median)
+    r.jit.median r.jit.ci95_lo r.jit.ci95_hi r.jit.cv r.rounds
     (r.interp.median /. r.jit.median)
 
 let to_json rows =
@@ -149,7 +140,7 @@ let save ~path rows =
   close_out oc
 
 (* ------------------------------------------------------------------ *)
-(* Baseline parsing (v2, v3 and v4).                                   *)
+(* Baseline parsing (v5 only).                                        *)
 (* ------------------------------------------------------------------ *)
 
 type baseline_col = { b_ns : float; b_lo : float; b_hi : float }
@@ -157,69 +148,60 @@ type baseline_col = { b_ns : float; b_lo : float; b_hi : float }
 type baseline_row = {
   b_graft : string;
   b_interp : baseline_col;
-  b_opt : baseline_col;
-  b_jit : baseline_col option;  (** absent in v2/v3 baselines *)
+  b_jit : baseline_col;
 }
+
+type baseline_error =
+  | Schema of int  (** a schema version other than {!schema_version} *)
+  | Invalid of string  (** unreadable, not JSON, or missing a v5 field *)
+
+let baseline_error_message = function
+  | Schema v ->
+      Printf.sprintf
+        "baseline: schema v%d is not supported (expected v%d); regenerate \
+         it with graftkit bench --save-baseline"
+        v schema_version
+  | Invalid msg -> "baseline: " ^ msg
 
 let parse_col obj prefix =
   let open Minijson in
-  match Option.bind (member (prefix ^ "_ns_per_op") obj) to_float with
-  | None -> Error (Printf.sprintf "missing %s_ns_per_op" prefix)
-  | Some v ->
-      (* v2 rows carry no CI; a degenerate [v, v] interval makes the
-         disjointness test reduce to a plain median comparison. *)
-      let get key fallback =
-        match Option.bind (member key obj) to_float with
-        | Some x -> x
-        | None -> fallback
-      in
-      Ok
-        {
-          b_ns = v;
-          b_lo = get (prefix ^ "_ci95_lo") v;
-          b_hi = get (prefix ^ "_ci95_hi") v;
-        }
+  let get key = Option.bind (member (prefix ^ key) obj) to_float in
+  match (get "_ns_per_op", get "_ci95_lo", get "_ci95_hi") with
+  | Some b_ns, Some b_lo, Some b_hi -> Ok { b_ns; b_lo; b_hi }
+  | _ -> Error (Printf.sprintf "missing %s_ns_per_op or its CI" prefix)
+
+let parse_row obj =
+  match Option.bind (Minijson.member "graft" obj) Minijson.to_string with
+  | None -> Error (Invalid "row without graft name")
+  | Some name -> (
+      match (parse_col obj "interp", parse_col obj "jit") with
+      | Ok b_interp, Ok b_jit -> Ok { b_graft = name; b_interp; b_jit }
+      | Error e, _ | _, Error e ->
+          Error (Invalid (Printf.sprintf "row %s: %s" name e)))
 
 let parse_baseline text =
   let open Minijson in
   match parse text with
-  | Error msg -> Error ("baseline: " ^ msg)
+  | Error msg -> Error (Invalid msg)
   | Ok doc -> (
-      match Option.bind (member "results" doc) to_list with
-      | None -> Error "baseline: no results array"
-      | Some rows ->
-          let rec go acc = function
-            | [] -> Ok (List.rev acc)
-            | obj :: rest -> (
-                match Option.bind (member "graft" obj) to_string with
-                | None -> Error "baseline: row without graft name"
-                | Some name -> (
-                    match (parse_col obj "interp", parse_col obj "opt") with
-                    | Ok i, Ok o ->
-                        (* A pre-v4 baseline has no jit columns: parse
-                           them opportunistically and gate nothing when
-                           they are absent. *)
-                        let j = Result.to_option (parse_col obj "jit") in
-                        go
-                          ({ b_graft = name; b_interp = i; b_opt = o;
-                             b_jit = j }
-                          :: acc)
-                          rest
-                    | Error e, _ | _, Error e ->
-                        Error (Printf.sprintf "baseline row %s: %s" name e)))
-          in
-          go [] rows)
+      match Option.bind (member "schema_version" doc) to_float with
+      | None -> Error (Invalid "no schema_version")
+      | Some v when int_of_float v <> schema_version ->
+          Error (Schema (int_of_float v))
+      | Some _ -> (
+          match Option.bind (member "results" doc) to_list with
+          | None -> Error (Invalid "no results array")
+          | Some rows ->
+              List.fold_right
+                (fun obj acc ->
+                  Result.bind acc (fun rest ->
+                      Result.map (fun r -> r :: rest) (parse_row obj)))
+                rows (Ok [])))
 
 let load_baseline path =
-  match
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | text -> parse_baseline text
-  | exception Sys_error msg -> Error msg
+  | exception Sys_error msg -> Error (Invalid msg)
 
 (* ------------------------------------------------------------------ *)
 (* The gate.                                                           *)
@@ -239,7 +221,7 @@ let compare_ci ~threshold ~base ~cur_ns ~cur_lo ~cur_hi =
 
 type check = {
   c_graft : string;
-  c_tier : string;  (** "interp" or "opt" *)
+  c_tier : string;  (** "interp" or "jit" *)
   c_base_ns : float;
   c_cur_ns : float;
   c_verdict : verdict;
@@ -277,11 +259,7 @@ let gate ?threshold ~baseline rows =
                   ~cur_hi:e.Graft_stats.Robust.ci95_hi;
             }
           in
-          [ one "interp" b.b_interp r.interp; one "opt" b.b_opt r.opt ]
-          @
-          match b.b_jit with
-          | None -> []
-          | Some bj -> [ one "jit" bj r.jit ])
+          [ one "interp" b.b_interp r.interp; one "jit" b.b_jit r.jit ])
     rows
 
 let failed checks = List.exists (fun c -> c.c_verdict = Regression) checks

@@ -32,19 +32,16 @@ let render t =
   Buffer.contents buf
 
 (* Technologies measured in the graft tables, in presentation order:
-   the paper's five columns first, then the ablation variants. *)
+   the paper's five columns first, then the ablation variants, then
+   the two measured tiers beyond the paper (static checks and the
+   JIT). *)
 let table_techs =
   [
     Technology.Unsafe_c; Technology.Safe_lang; Technology.Sfi_write_jump;
     Technology.Bytecode_vm; Technology.Source_interp; Technology.Safe_lang_nil;
-    Technology.Sfi_full; Technology.Ast_interp;
+    Technology.Sfi_full; Technology.Ast_interp; Technology.Safe_lang_static;
+    Technology.Jit;
   ]
-
-(* Opt-in extra columns (e.g. the optimized bytecode tier). Kept out of
-   [table_techs] so the default tables reproduce the paper unchanged;
-   the bench driver's "opt" switch appends here. *)
-let extra_techs : Technology.t list ref = ref []
-let graft_techs () = table_techs @ !extra_techs
 
 let target_s = function Quick -> 0.02 | Full -> 0.1
 let runs_of = function Quick -> 5 | Full -> 10
@@ -161,7 +158,7 @@ let table2_data scale =
     (fun tech ->
       let meas = measure_contains scale tech in
       { tt_tech = tech; meas; scaled_from = None; full_s = med meas })
-    (graft_techs ())
+    table_techs
 
 let table2 ?(data = None) scale =
   let data = match data with Some d -> d | None -> table2_data scale in
@@ -313,8 +310,8 @@ let md5_measure_bytes scale tech =
   match (tech, scale) with
   | Technology.Source_interp, Quick -> 2048
   | Technology.Source_interp, Full -> 16384
-  | (Technology.Bytecode_vm | Technology.Bytecode_opt | Technology.Safe_lang_static | Technology.Ast_interp), Quick -> 65536
-  | (Technology.Bytecode_vm | Technology.Bytecode_opt | Technology.Safe_lang_static | Technology.Ast_interp), Full -> 262144
+  | (Technology.Bytecode_vm | Technology.Safe_lang_static | Technology.Ast_interp), Quick -> 65536
+  | (Technology.Bytecode_vm | Technology.Safe_lang_static | Technology.Ast_interp), Full -> 262144
   | _, Quick -> 262144
   | _, Full -> md5_full_bytes
 
@@ -353,7 +350,7 @@ let table5_data scale =
         scaled_from = (if size = md5_full_bytes then None else Some size);
         full_s;
       })
-    (graft_techs ())
+    table_techs
 
 let table5 ?(data = None) scale =
   let data = match data with Some d -> d | None -> table5_data scale in
@@ -423,8 +420,8 @@ let logdisk_measure_writes scale tech =
   match (tech, scale) with
   | Technology.Source_interp, Quick -> 1024
   | Technology.Source_interp, Full -> 8192
-  | (Technology.Bytecode_vm | Technology.Bytecode_opt | Technology.Safe_lang_static | Technology.Ast_interp), Quick -> 8192
-  | (Technology.Bytecode_vm | Technology.Bytecode_opt | Technology.Safe_lang_static | Technology.Ast_interp), Full -> 65536
+  | (Technology.Bytecode_vm | Technology.Safe_lang_static | Technology.Ast_interp), Quick -> 8192
+  | (Technology.Bytecode_vm | Technology.Safe_lang_static | Technology.Ast_interp), Full -> 65536
   | _, Quick -> 32768
   | _, Full -> logdisk_full_writes
 
@@ -479,7 +476,7 @@ let table6_data scale =
           };
         io_result;
       })
-    (graft_techs ())
+    table_techs
 
 let table6 ?(data = None) scale =
   let data = match data with Some d -> d | None -> table6_data scale in
@@ -1217,8 +1214,8 @@ let ablation_gate scale =
   in
   let techs =
     [
-      Technology.Specialized_vm; Technology.Jit; Technology.Bytecode_opt;
-      Technology.Bytecode_vm; Technology.Sfi_full; Technology.Ast_interp;
+      Technology.Specialized_vm; Technology.Jit; Technology.Bytecode_vm;
+      Technology.Sfi_full; Technology.Ast_interp;
     ]
   in
   (* Verified before timed: every tier must classify the traffic (and

@@ -144,7 +144,7 @@ let demux_storm () =
             (1e-7 *. float_of_int (K.Netpkt.length pkt));
           ignore (Manager.invoke g (fun () -> runner.Runners.demux pkt)))
         packets)
-    [ Technology.Bytecode_vm; Technology.Bytecode_opt ]
+    [ Technology.Bytecode_vm; Technology.Jit ]
 
 let hotset_run () =
   List.iter

@@ -113,21 +113,21 @@ let class_of_draw r =
   else Evict
 
 (* Technology rotation across tenants: every protected tier the
-   stateful-graft runners support, fast tiers first so the Zipf-heavy
-   tenants land on realistic production choices. *)
+   stateful-graft runners support, fast tiers first by measured
+   per-op cost in this mix (graftbench's op.<tier>.ns_per_op), so the
+   Zipf-heavy tenants land on realistic production choices. *)
 let tech_rotation =
   [|
-    Technology.Bytecode_opt; Technology.Jit; Technology.Safe_lang_static;
-    Technology.Bytecode_vm; Technology.Sfi_full; Technology.Ast_interp;
+    Technology.Sfi_full; Technology.Jit; Technology.Safe_lang_static;
+    Technology.Bytecode_vm; Technology.Ast_interp;
   |]
 
 (* Synthetic service-time multiplier per tier, anchored on the
-   measured interp/opt/jit ratios in BENCH_stackvm.json. *)
+   measured interp/JIT ratios in BENCH_stackvm.json. *)
 let tech_mult = function
   | Technology.Jit -> 1.0
   | Technology.Safe_lang_static -> 0.9
   | Technology.Sfi_full -> 1.2
-  | Technology.Bytecode_opt -> 1.8
   | Technology.Bytecode_vm -> 3.0
   | Technology.Ast_interp -> 6.0
   | t -> invalid_arg ("Serve.tech_mult: " ^ Technology.name t)

@@ -6,32 +6,7 @@
     dedicated opcodes that re-mask their result, preserving the
     invariant that word values stay in [0, 2^32). Array opcodes carry
     the array id; bases, lengths and writability live in the program's
-    array table so the verifier can reason about them.
-
-    The tail of the ISA is a set of {e superinstructions}: fused forms
-    of the dispatch pairs that dominate the MD5 and eviction grafts
-    (constant operands, constant-index array loads, compare-then-branch
-    and loop-counter increments). They are produced only by the
-    {!Peephole} pass — the compiler never emits them — and each one
-    charges fuel equal to the number of plain instructions it replaces
-    ({!width}), so optimized and unoptimized bytecode share one fuel
-    budget and exhaust it at the same points. *)
-
-(** Binary operators available in fused form with a constant or local
-    operand. [KDiv]/[KMod] may only appear with a non-zero constant
-    divisor (the peephole never fuses [Const 0; Div], and the verifier
-    rejects them in the local-operand forms), so {!bink_fn} can never
-    divide by zero in verified code. *)
-type bink =
-  | KAdd | KSub | KMul
-  | KDiv | KMod
-  | KShl | KShr | KLshr
-  | KBand | KBor | KBxor
-  | KWadd | KWsub | KWmul | KWshl | KWshr
-
-(** Comparison selector shared by the fused compare and
-    compare-then-branch forms. *)
-type cmp = Clt | Cle | Cgt | Cge | Ceq | Cne
+    array table so the verifier can reason about them. *)
 
 type t =
   | Const of int
@@ -81,101 +56,6 @@ type t =
   | Pop
   | Dup
   | Halt  (** only reachable on compiler bugs; faults *)
-  (* fused superinstructions (see Peephole) *)
-  | Bink of bink * int  (** [Const k; op] — tos OP k *)
-  | Cmpk of cmp * int  (** [Const k; cmp] — push (tos CMP k) *)
-  | Jcmp of cmp * bool * int
-      (** [cmp; Jz/Jnz t] — pop b, a; jump to t when (a CMP b) = flag *)
-  | Jcmpk of cmp * int * bool * int
-      (** [Const k; cmp; Jz/Jnz t] — pop a; jump when (a CMP k) = flag *)
-  | Aload_k of int * int  (** [Const k; Aload a] — constant-index load *)
-  | Local_addk of int * int
-      (** [Load_local n; Const k; Add; Store_local n] — local n += k *)
-  | Load_local2 of int * int  (** [Load_local a; Load_local b] *)
-  | Bin_local of bink * int
-      (** [Load_local n; op] — tos OP local n (never div/mod: a local
-          divisor could be zero and must keep the plain fault path) *)
-  | Bin_local2 of bink * int * int
-      (** [Load_local a; Load_local b; op] — push (local a OP local b) *)
-  | Aload_local of int * int
-      (** [Load_local n; Aload a] — push a\[local n\] *)
-  | Move_local of int * int
-      (** [Load_local src; Store_local dst] — local dst <- local src *)
-  | Jcmpk_local of cmp * int * int * bool * int
-      (** [Load_local n; Const k; cmp; Jz/Jnz t] — the loop-closing
-          test; jump to t when (local n CMP k) = flag *)
-  | Store_localk of int * int
-      (** [Const k; Store_local n] — local n <- k *)
-  | Bin_store of bink * int
-      (** [op; Store_local n] — pop b, a; local n <- a OP b (never
-          div/mod: the popped divisor could be zero) *)
-  | Bink_store of bink * int * int
-      (** [Const k; op; Store_local n] — local n <- tos OP k *)
-  | Bink_local of bink * int * int
-      (** [Load_local n; Const k; op] — push (local n OP k) *)
-  | Bin_aload_local of bink * int * int
-      (** [Load_local n; Aload a; op] — tos OP a\[local n\] (never
-          div/mod: the loaded divisor could be zero) *)
-  | Aload_local_store of int * int * int
-      (** [Load_local n; Aload a; Store_local dst] — a, n, dst:
-          local dst <- a\[local n\] *)
-  | Move_local2 of int * int * int * int
-      (** two adjacent local moves, the shape variable-rotation code
-          leaves behind — d1 <- s1 then d2 <- s2, in that order *)
-
-(** Number of plain instructions a (possibly fused) instruction stands
-    for; this is also its fuel cost, so fused code exhausts the same
-    fuel budget at the same program points as its unfused source. *)
-let width = function
-  | Bink _ | Cmpk _ | Jcmp _ | Aload_k _ | Load_local2 _
-  | Bin_local _ | Aload_local _ | Move_local _ | Store_localk _
-  | Bin_store _ ->
-      2
-  | Jcmpk _ | Bin_local2 _ | Bink_store _ | Bink_local _ | Bin_aload_local _
-  | Aload_local_store _ ->
-      3
-  | Local_addk _ | Jcmpk_local _ | Move_local2 _ -> 4
-  | _ -> 1
-
-(* Uncurried on purpose: the interpreter calls these once per executed
-   fused instruction, and a fully-applied known function costs one
-   direct call where a selector-returns-closure shape costs two
-   indirect ones. *)
-let bink_fn op a b =
-  match op with
-  | KAdd -> a + b
-  | KSub -> a - b
-  | KMul -> a * b
-  | KDiv ->
-      if b = 0 then Graft_mem.Fault.raise_fault Graft_mem.Fault.Division_by_zero;
-      a / b
-  | KMod ->
-      if b = 0 then Graft_mem.Fault.raise_fault Graft_mem.Fault.Division_by_zero;
-      a mod b
-  | KShl -> Graft_gel.Wordops.int_shl a b
-  | KShr -> Graft_gel.Wordops.int_shr a b
-  | KLshr -> Graft_gel.Wordops.int_lshr a b
-  | KBand -> a land b
-  | KBor -> a lor b
-  | KBxor -> a lxor b
-  | KWadd -> Graft_gel.Wordops.add a b
-  | KWsub -> Graft_gel.Wordops.sub a b
-  | KWmul -> Graft_gel.Wordops.mul a b
-  | KWshl -> Graft_gel.Wordops.shl a b
-  | KWshr -> Graft_gel.Wordops.shr a b
-
-(** Can this operator fault on a zero right operand? Such operators may
-    be fused only with a non-zero constant, never with a local. *)
-let bink_divlike = function KDiv | KMod -> true | _ -> false
-
-let cmp_fn c a b =
-  match c with
-  | Clt -> a < b
-  | Cle -> a <= b
-  | Cgt -> a > b
-  | Cge -> a >= b
-  | Ceq -> a = b
-  | Cne -> a <> b
 
 (** Stack effect (pops, pushes), with call effects resolved by the
     caller since they depend on the function table. *)
@@ -198,21 +78,6 @@ let effect = function
   | Pop -> (1, 0)
   | Dup -> (1, 2)
   | Halt -> (0, 0)
-  | Bink _ | Cmpk _ -> (1, 1)
-  | Jcmp _ -> (2, 0)
-  | Jcmpk _ -> (1, 0)
-  | Aload_k _ -> (0, 1)
-  | Local_addk _ -> (0, 0)
-  | Load_local2 _ -> (0, 2)
-  | Bin_local _ -> (1, 1)
-  | Bin_local2 _ | Aload_local _ -> (0, 1)
-  | Move_local _ | Jcmpk_local _ | Store_localk _ | Aload_local_store _
-  | Move_local2 _ ->
-      (0, 0)
-  | Bin_store _ -> (2, 0)
-  | Bink_store _ -> (1, 0)
-  | Bink_local _ -> (0, 1)
-  | Bin_aload_local _ -> (1, 1)
 
 (* ------------------------------------------------------------------ *)
 (* Opcode classes for the profiler.                                    *)
@@ -248,29 +113,10 @@ let index = function
   | Pop -> 46
   | Dup -> 47
   | Halt -> 48
-  | Bink _ -> 49
-  | Cmpk _ -> 50
-  | Jcmp _ -> 51
-  | Jcmpk _ -> 52
-  | Aload_k _ -> 53
-  | Local_addk _ -> 54
-  | Load_local2 _ -> 55
-  | Bin_local _ -> 56
-  | Bin_local2 _ -> 57
-  | Aload_local _ -> 58
-  | Move_local _ -> 59
-  | Jcmpk_local _ -> 60
-  | Store_localk _ -> 61
-  | Bin_store _ -> 62
-  | Bink_store _ -> 63
-  | Bink_local _ -> 64
-  | Bin_aload_local _ -> 65
-  | Aload_local_store _ -> 66
-  | Move_local2 _ -> 67
-  | Mlookup _ -> 68
-  | Mupdate _ -> 69
-  | Mlookup_u _ -> 70
-  | Mupdate_u _ -> 71
+  | Mlookup _ -> 49
+  | Mupdate _ -> 50
+  | Mlookup_u _ -> 51
+  | Mupdate_u _ -> 52
 
 (** One display name per {!index} slot. *)
 let class_names =
@@ -282,23 +128,8 @@ let class_names =
     "wadd"; "wsub"; "wmul"; "wshl"; "wshr"; "wbnot"; "wneg"; "wmask";
     "lt"; "le"; "gt"; "ge"; "eq"; "ne"; "tobool"; "not";
     "jmp"; "jz"; "jnz"; "call"; "callext"; "ret"; "pop"; "dup"; "halt";
-    "bin.k"; "cmp.k"; "jcmp"; "jcmp.k"; "aload.k"; "laddk"; "lload2";
-    "bin.l"; "bin.ll"; "aload.l"; "lmove"; "jcmp.lk"; "lstore.k";
-    "bin.st"; "bin.kst"; "bin.lk"; "bin.al"; "aload.lst"; "lmove2";
     "mlookup"; "mupdate"; "mlookup.u"; "mupdate.u";
   |]
-
-let bink_name = function
-  | KAdd -> "add" | KSub -> "sub" | KMul -> "mul"
-  | KDiv -> "div" | KMod -> "mod"
-  | KShl -> "shl" | KShr -> "shr" | KLshr -> "lshr"
-  | KBand -> "band" | KBor -> "bor" | KBxor -> "bxor"
-  | KWadd -> "wadd" | KWsub -> "wsub" | KWmul -> "wmul"
-  | KWshl -> "wshl" | KWshr -> "wshr"
-
-let cmp_name = function
-  | Clt -> "lt" | Cle -> "le" | Cgt -> "gt"
-  | Cge -> "ge" | Ceq -> "eq" | Cne -> "ne"
 
 let to_string = function
   | Const n -> Printf.sprintf "const %d" n
@@ -333,30 +164,3 @@ let to_string = function
   | Pop -> "pop"
   | Dup -> "dup"
   | Halt -> "halt"
-  | Bink (op, k) -> Printf.sprintf "%s.k %d" (bink_name op) k
-  | Cmpk (c, k) -> Printf.sprintf "%s.k %d" (cmp_name c) k
-  | Jcmp (c, flag, t) ->
-      Printf.sprintf "j%s%s %d" (if flag then "" else "n") (cmp_name c) t
-  | Jcmpk (c, k, flag, t) ->
-      Printf.sprintf "j%s%s.k %d, %d" (if flag then "" else "n") (cmp_name c) k t
-  | Aload_k (a, k) -> Printf.sprintf "aload.k #%d[%d]" a k
-  | Local_addk (n, k) -> Printf.sprintf "laddk %d, %d" n k
-  | Load_local2 (a, b) -> Printf.sprintf "lload2 %d, %d" a b
-  | Bin_local (op, n) -> Printf.sprintf "%s.l %d" (bink_name op) n
-  | Bin_local2 (op, a, b) -> Printf.sprintf "%s.ll %d, %d" (bink_name op) a b
-  | Aload_local (a, n) -> Printf.sprintf "aload.l #%d[l%d]" a n
-  | Move_local (dst, src) -> Printf.sprintf "lmove %d, %d" dst src
-  | Jcmpk_local (c, n, k, flag, t) ->
-      Printf.sprintf "j%s%s.lk %d, %d, %d"
-        (if flag then "" else "n")
-        (cmp_name c) n k t
-  | Store_localk (n, k) -> Printf.sprintf "lstore.k %d, %d" n k
-  | Bin_store (op, n) -> Printf.sprintf "%s.st %d" (bink_name op) n
-  | Bink_store (op, k, n) -> Printf.sprintf "%s.kst %d, %d" (bink_name op) k n
-  | Bink_local (op, n, k) -> Printf.sprintf "%s.lk %d, %d" (bink_name op) n k
-  | Bin_aload_local (op, a, n) ->
-      Printf.sprintf "%s.al #%d[l%d]" (bink_name op) a n
-  | Aload_local_store (a, n, dst) ->
-      Printf.sprintf "aload.lst #%d[l%d], %d" a n dst
-  | Move_local2 (d1, s1, d2, s2) ->
-      Printf.sprintf "lmove2 %d, %d, %d, %d" d1 s1 d2 s2

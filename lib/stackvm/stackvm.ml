@@ -10,7 +10,6 @@
 module Opcode = Opcode
 module Program = Program
 module Compile = Compile
-module Peephole = Peephole
 module Verify = Verify
 module Vm = Vm
 module Disasm = Disasm
@@ -41,23 +40,6 @@ let load ?maps ?(bounded = false) (image : Graft_gel.Link.image) :
 
 let load_exn ?maps ?bounded image =
   match load ?maps ?bounded image with
-  | Ok p -> p
-  | Error msg -> failwith msg
-
-(** The optimizing tier's loader: compile, fuse superinstructions
-    ({!Peephole}), then verify the fused code — the safety claim rests
-    on load-time verification of the program that actually runs, not on
-    trusting the optimizer. That includes [bounded]: {!Peephole} pins
-    the certified loop windows unfused and remaps each certificate's
-    backedge pc, so the certificate re-derivation runs on the shipped
-    code like every other check. *)
-let load_opt ?maps ?(bounded = false) (image : Graft_gel.Link.image) :
-    (Program.t, string) result =
-  gate ~bounded image (fun () ->
-      Peephole.optimize (Compile.compile ?maps ~bounds:bounded image))
-
-let load_opt_exn ?maps ?bounded image =
-  match load_opt ?maps ?bounded image with
   | Ok p -> p
   | Error msg -> failwith msg
 

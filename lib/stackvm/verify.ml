@@ -399,38 +399,6 @@ let check_elisions (p : Program.t) : (unit, string) result =
           (* Pass 1 rejects any reachable Halt, and this pass explores
              a subset of pass 1's reachable set. *)
           ()
-      | instr ->
-          (* Fused superinstructions: modelled conservatively — operand
-             effects from the opcode table, written locals havocked, no
-             refinement. The static tier never fuses (claims would not
-             survive pc remapping), so precision here is irrelevant;
-             soundness against hand-crafted programs is not. *)
-          let pops, pushes = Opcode.effect instr in
-          for _ = 1 to pops do
-            ignore (pop ())
-          done;
-          for _ = 1 to pushes do
-            push I.top Snone
-          done;
-          (match instr with
-          | Opcode.Local_addk (n, _)
-          | Opcode.Move_local (n, _)
-          | Opcode.Store_localk (n, _)
-          | Opcode.Bin_store (_, n)
-          | Opcode.Bink_store (_, _, n)
-          | Opcode.Aload_local_store (_, _, n) ->
-              store_local n I.top
-          | Opcode.Move_local2 (d1, _, d2, _) ->
-              store_local d1 I.top;
-              store_local d2 I.top
-          | _ -> ());
-          (match instr with
-          | Opcode.Jcmp (_, _, t)
-          | Opcode.Jcmpk (_, _, _, t)
-          | Opcode.Jcmpk_local (_, _, _, _, t) ->
-              schedule t (Array.copy locals, !stack);
-              schedule (pc + 1) (locals, !stack)
-          | _ -> next ())
     done
   in
   if Array.length p.proofs = 0 && not (Array.exists is_unchecked p.code) then
@@ -473,24 +441,9 @@ let check_bounds (p : Program.t) : (unit, string) result =
   let exception Bad of string in
   let bad fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt in
   let disasm pc = Opcode.to_string p.code.(pc) in
-  let writes_local n = function
-    | Opcode.Store_local m
-    | Opcode.Local_addk (m, _)
-    | Opcode.Move_local (m, _)
-    | Opcode.Store_localk (m, _)
-    | Opcode.Bin_store (_, m)
-    | Opcode.Bink_store (_, _, m)
-    | Opcode.Aload_local_store (_, _, m) ->
-        m = n
-    | Opcode.Move_local2 (d1, _, d2, _) -> d1 = n || d2 = n
-    | _ -> false
-  in
+  let writes_local n = function Opcode.Store_local m -> m = n | _ -> false in
   let targets = function
-    | Opcode.Jmp t | Opcode.Jz t | Opcode.Jnz t
-    | Opcode.Jcmp (_, _, t)
-    | Opcode.Jcmpk (_, _, _, t)
-    | Opcode.Jcmpk_local (_, _, _, _, t) ->
-        [ t ]
+    | Opcode.Jmp t | Opcode.Jz t | Opcode.Jnz t -> [ t ]
     | _ -> []
   in
   let cmp_of pc =
@@ -627,11 +580,6 @@ let check_bounds (p : Program.t) : (unit, string) result =
         match instr with
         | Opcode.Jz t | Opcode.Jnz t when t <= pc ->
             bad "conditional backward jump at %d (%s)" pc (disasm pc)
-        | Opcode.Jcmp (_, _, t)
-        | Opcode.Jcmpk (_, _, _, t)
-        | Opcode.Jcmpk_local (_, _, _, _, t)
-          when t <= pc ->
-            bad "fused backward jump at %d (%s)" pc (disasm pc)
         | Opcode.Jmp t when t <= pc -> (
             match Hashtbl.find_opt certs pc with
             | Some c -> check_window pc t c
@@ -726,77 +674,20 @@ let verify ?(bounded = false) (p : Program.t) : (unit, string) result =
       let h' = h - pops + pushes in
       if h' > max_stack then
         bad "function %d (%s): stack overflow at %d" fi f.Program.name pc;
-      (* Fused division: only a non-zero constant divisor can be proven
-         fault-free; anything else must stay a plain Div/Mod so the
-         runtime fault path is preserved. *)
-      (match instr with
-      | Opcode.Bink (op, 0) | Opcode.Bink_store (op, 0, _)
-      | Opcode.Bink_local (op, _, 0)
-        when Opcode.bink_divlike op ->
-          bad "function %d (%s): fused division by constant zero at %d" fi
-            f.Program.name pc
-      | Opcode.Bin_local (op, _) | Opcode.Bin_local2 (op, _, _)
-        when Opcode.bink_divlike op ->
-          bad "function %d (%s): fused division by a local at %d" fi
-            f.Program.name pc
-      | Opcode.Bin_store (op, _) | Opcode.Bin_aload_local (op, _, _)
-        when Opcode.bink_divlike op ->
-          bad "function %d (%s): fused division by a popped operand at %d" fi
-            f.Program.name pc
-      | _ -> ());
       (* Operand validity. *)
       (match instr with
-      | Opcode.Load_local n | Opcode.Store_local n | Opcode.Local_addk (n, _)
-      | Opcode.Bin_local (_, n) | Opcode.Jcmpk_local (_, n, _, _, _)
-      | Opcode.Store_localk (n, _) | Opcode.Bin_store (_, n)
-      | Opcode.Bink_store (_, _, n) | Opcode.Bink_local (_, n, _) ->
+      | Opcode.Load_local n | Opcode.Store_local n ->
           if n < 0 || n >= f.Program.nlocals then
             bad "function %d (%s): local %d out of range at %d" fi
               f.Program.name n pc
-      | Opcode.Load_local2 (a, b) | Opcode.Bin_local2 (_, a, b)
-      | Opcode.Move_local (a, b) ->
-          List.iter
-            (fun n ->
-              if n < 0 || n >= f.Program.nlocals then
-                bad "function %d (%s): local %d out of range at %d" fi
-                  f.Program.name n pc)
-            [ a; b ]
-      | Opcode.Move_local2 (d1, s1, d2, s2) ->
-          List.iter
-            (fun n ->
-              if n < 0 || n >= f.Program.nlocals then
-                bad "function %d (%s): local %d out of range at %d" fi
-                  f.Program.name n pc)
-            [ d1; s1; d2; s2 ]
       | Opcode.Load_global a | Opcode.Store_global a ->
           if a < 0 || a >= Array.length p.cells then
             bad "function %d (%s): global address %d out of range" fi
               f.Program.name a
       | Opcode.Aload a | Opcode.Astore a | Opcode.Aload_u a
-      | Opcode.Astore_u a | Opcode.Aload_k (a, _) ->
-          (* The constant index of [Aload_k] is deliberately not
-             checked against the array length: the unfused form would
-             fault at run time, and the fused form must preserve that
-             behaviour rather than fail at load time. *)
+      | Opcode.Astore_u a ->
           if a < 0 || a >= narrays then
             bad "function %d (%s): array id %d out of range" fi f.Program.name a
-      | Opcode.Aload_local (a, n) | Opcode.Bin_aload_local (_, a, n) ->
-          if a < 0 || a >= narrays then
-            bad "function %d (%s): array id %d out of range" fi f.Program.name
-              a;
-          if n < 0 || n >= f.Program.nlocals then
-            bad "function %d (%s): local %d out of range at %d" fi
-              f.Program.name n pc
-      | Opcode.Aload_local_store (a, n, dst) ->
-          if a < 0 || a >= narrays then
-            bad "function %d (%s): array id %d out of range" fi f.Program.name
-              a;
-          List.iter
-            (fun n ->
-              if n < 0 || n >= f.Program.nlocals then
-                bad "function %d (%s): local %d out of range at %d" fi
-                  f.Program.name n pc)
-            [ n; dst ]
       | Opcode.Mlookup m | Opcode.Mupdate m | Opcode.Mlookup_u m
       | Opcode.Mupdate_u m ->
           if m < 0 || m >= Array.length p.maps then
@@ -809,9 +700,7 @@ let verify ?(bounded = false) (p : Program.t) : (unit, string) result =
       (* Successors. *)
       (match instr with
       | Opcode.Jmp t -> schedule t h'
-      | Opcode.Jz t | Opcode.Jnz t
-      | Opcode.Jcmp (_, _, t) | Opcode.Jcmpk (_, _, _, t)
-      | Opcode.Jcmpk_local (_, _, _, _, t) ->
+      | Opcode.Jz t | Opcode.Jnz t ->
           schedule t h';
           schedule (pc + 1) h'
       | Opcode.Ret -> ()

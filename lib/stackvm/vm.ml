@@ -15,21 +15,16 @@ let max_frames = 256
 let stack_size = 4096
 
 (* Graftmeter counters, one series per tier; incremented once per
-   session exit so the dispatch loops themselves stay untouched. *)
+   session exit so the dispatch loop itself stays untouched. *)
 let m_sessions_interp =
   Graft_metrics.domain_counter "graftkit_vm_sessions"
     ~help:"VM sessions run, by tier"
     [ ("tier", "interp") ]
 
-let m_sessions_opt =
-  Graft_metrics.domain_counter "graftkit_vm_sessions" [ ("tier", "opt") ]
-
 let m_fuel_interp =
   Graft_metrics.domain_counter "graftkit_vm_fuel"
     ~help:"Fuel (instruction budget) consumed, by tier"
     [ ("tier", "interp") ]
-
-let m_fuel_opt = Graft_metrics.domain_counter "graftkit_vm_fuel" [ ("tier", "opt") ]
 
 let m_fuel_hist =
   Graft_metrics.domain_histogram "graftkit_vm_fuel_per_session"
@@ -42,7 +37,7 @@ type session = {
   stack : int array;
   frames : frame array;
   mutable prof : Graft_trace.Opprof.t option;
-      (** when set, the dispatch loops count every executed opcode *)
+      (** when set, the dispatch loop counts every executed opcode *)
 }
 
 let create_session ?profile p =
@@ -102,13 +97,6 @@ let run_session (s : session) ~entry ~(args : int array) ~fuel :
         incr depth;
         f.Program.entry
       in
-      (* Fused opcodes charge the fuel of every instruction they
-         replace, re-checked before the group's observable action, so
-         optimized code exhausts fuel exactly where plain code does. *)
-      let burn n =
-        fuel := !fuel - n;
-        if !fuel < 0 then Fault.raise_fault Fault.Fuel_exhausted
-      in
       let binop f =
         let b = pop () in
         let a = pop () in
@@ -165,8 +153,7 @@ let run_session (s : session) ~entry ~(args : int array) ~fuel :
           (match prof with
           | None -> ()
           | Some pr ->
-              Graft_trace.Opprof.hit pr (Opcode.index instr)
-                (Opcode.width instr));
+              Graft_trace.Opprof.hit pr (Opcode.index instr) 1);
           match instr with
           | Opcode.Const n -> push n
           | Opcode.Load_local n -> push frames.(!depth - 1).locals.(n)
@@ -262,102 +249,6 @@ let run_session (s : session) ~entry ~(args : int array) ~fuel :
               push v;
               push v
           | Opcode.Halt -> Fault.raise_fault (Fault.Illegal_instruction "halt")
-          | Opcode.Bink (op, k) ->
-              burn 1;
-              push (Opcode.bink_fn op (pop ()) k)
-          | Opcode.Cmpk (c, k) ->
-              burn 1;
-              push (if Opcode.cmp_fn c (pop ()) k then 1 else 0)
-          | Opcode.Jcmp (c, flag, t) ->
-              burn 1;
-              let b = pop () in
-              let a = pop () in
-              if Opcode.cmp_fn c a b = flag then pc := t
-          | Opcode.Jcmpk (c, k, flag, t) ->
-              burn 2;
-              if Opcode.cmp_fn c (pop ()) k = flag then pc := t
-          | Opcode.Aload_k (arr, k) ->
-              burn 1;
-              let d = p.Program.arrays.(arr) in
-              if k < 0 || k >= d.Program.len then
-                Fault.raise_fault
-                  (Fault.Out_of_bounds { access = Fault.Read; addr = k });
-              push (Array.unsafe_get cells (d.Program.base + k))
-          | Opcode.Local_addk (n, k) ->
-              burn 3;
-              let locals = frames.(!depth - 1).locals in
-              locals.(n) <- locals.(n) + k
-          | Opcode.Load_local2 (a, b) ->
-              burn 1;
-              let locals = frames.(!depth - 1).locals in
-              push locals.(a);
-              push locals.(b)
-          | Opcode.Bin_local (op, n) ->
-              burn 1;
-              push (Opcode.bink_fn op (pop ()) frames.(!depth - 1).locals.(n))
-          | Opcode.Bin_local2 (op, a, b) ->
-              burn 2;
-              let locals = frames.(!depth - 1).locals in
-              push (Opcode.bink_fn op locals.(a) locals.(b))
-          | Opcode.Aload_local (arr, n) ->
-              burn 1;
-              let d = p.Program.arrays.(arr) in
-              let i = frames.(!depth - 1).locals.(n) in
-              if i < 0 || i >= d.Program.len then
-                Fault.raise_fault
-                  (Fault.Out_of_bounds { access = Fault.Read; addr = i });
-              push (Array.unsafe_get cells (d.Program.base + i))
-          | Opcode.Move_local (dst, src) ->
-              burn 1;
-              let locals = frames.(!depth - 1).locals in
-              locals.(dst) <- locals.(src)
-          | Opcode.Jcmpk_local (c, n, k, flag, t) ->
-              burn 3;
-              if Opcode.cmp_fn c frames.(!depth - 1).locals.(n) k = flag then
-                pc := t
-          | Opcode.Store_localk (n, k) ->
-              burn 1;
-              frames.(!depth - 1).locals.(n) <- k
-          | Opcode.Bin_store (op, n) ->
-              burn 1;
-              let b = pop () in
-              let a = pop () in
-              frames.(!depth - 1).locals.(n) <- Opcode.bink_fn op a b
-          | Opcode.Bink_store (op, k, n) ->
-              burn 2;
-              frames.(!depth - 1).locals.(n) <- Opcode.bink_fn op (pop ()) k
-          | Opcode.Bink_local (op, n, k) ->
-              burn 2;
-              push (Opcode.bink_fn op frames.(!depth - 1).locals.(n) k)
-          | Opcode.Bin_aload_local (op, arr, n) ->
-              (* The array access is the pattern's 2nd instruction, so
-                 fuel is charged in two steps to keep the
-                 fuel-vs-bounds fault order of the unfused code. *)
-              burn 1;
-              let d = p.Program.arrays.(arr) in
-              let i = frames.(!depth - 1).locals.(n) in
-              if i < 0 || i >= d.Program.len then
-                Fault.raise_fault
-                  (Fault.Out_of_bounds { access = Fault.Read; addr = i });
-              let v = Array.unsafe_get cells (d.Program.base + i) in
-              burn 1;
-              push (Opcode.bink_fn op (pop ()) v)
-          | Opcode.Aload_local_store (arr, n, dst) ->
-              burn 1;
-              let d = p.Program.arrays.(arr) in
-              let locals = frames.(!depth - 1).locals in
-              let i = locals.(n) in
-              if i < 0 || i >= d.Program.len then
-                Fault.raise_fault
-                  (Fault.Out_of_bounds { access = Fault.Read; addr = i });
-              let v = Array.unsafe_get cells (d.Program.base + i) in
-              burn 1;
-              locals.(dst) <- v
-          | Opcode.Move_local2 (d1, s1, d2, s2) ->
-              burn 3;
-              let locals = frames.(!depth - 1).locals in
-              locals.(d1) <- locals.(s1);
-              locals.(d2) <- locals.(s2)
         done;
           Ok !result
         with Fault.Fault f ->
@@ -379,424 +270,3 @@ let run_session (s : session) ~entry ~(args : int array) ~fuel :
 
 (** One-shot convenience; resident grafts should keep a session. *)
 let run p ~entry ~args ~fuel = run_session (create_session p) ~entry ~args ~fuel
-
-(* ------------------------------------------------------------------ *)
-(* The optimizing dispatch loop: top-of-stack caching.                  *)
-(* ------------------------------------------------------------------ *)
-
-(** Like {!run_session}, but with the hot top-of-stack slot cached in a
-    local mutable ([tos]), the fast path of the optimized bytecode
-    tier. Representation: with operand-stack height [h > 0], the top
-    value lives in [tos] and element [j] (bottom-up, [j < h - 1]) at
-    [stack.(j + 1)]; slot 0 absorbs the spill of an empty-stack push,
-    so every push/pop is branchless. A binary operation touches the
-    array once (read the second operand) instead of four times.
-
-    Fuel accounting and fault semantics match {!run_session} exactly:
-    each fused opcode charges {!Opcode.width} fuel up front and
-    re-checks the budget before its single observable action, so the
-    two loops fault and store at identical program points. *)
-let run_session_opt (s : session) ~entry ~(args : int array) ~fuel :
-    (int, [ `Fault of Fault.t | `Bad_entry of string ]) result =
-  let p = s.p in
-  match Program.find_func p entry with
-  | None -> Error (`Bad_entry (Printf.sprintf "no function named %s" entry))
-  | Some fidx when p.Program.funcs.(fidx).Program.nargs <> Array.length args
-    ->
-      Error
-        (`Bad_entry
-          (Printf.sprintf "%s expects %d arguments, given %d" entry
-             p.Program.funcs.(fidx).Program.nargs (Array.length args)))
-  | Some fidx -> (
-      let code = p.Program.code in
-      let cells = p.Program.cells in
-      let stack = s.stack in
-      let frames = s.frames in
-      let h = ref 0 in
-      let tos = ref 0 in
-      let depth = ref 0 in
-      let fuel0 = fuel in
-      let fuel = ref fuel in
-      let prof = s.prof in
-      (* Current frame's locals, re-cached on call and return: fused
-         code touches a local in almost every instruction, and going
-         through [frames.(!depth - 1).locals] each time costs a
-         bounds-checked array read plus a field load per access. *)
-      let locs = ref frames.(0).locals in
-      let underflow () =
-        Fault.raise_fault (Fault.Illegal_instruction "stack underflow")
-      in
-      let push v =
-        if !h >= stack_size then Fault.raise_fault Fault.Stack_overflow;
-        Array.unsafe_set stack !h !tos;
-        incr h;
-        tos := v
-      in
-      let pop () =
-        if !h <= 0 then underflow ();
-        let v = !tos in
-        decr h;
-        tos := Array.unsafe_get stack !h;
-        v
-      in
-      (* Drop two operands, leaving the stack one element shorter than
-         [pop (); pop ()] would read it: callers consume [tos] and
-         [under ()] themselves. *)
-      let under () =
-        (* Second-from-top operand; caller must then call [shrink2]. *)
-        Array.unsafe_get stack (!h - 1)
-      in
-      let shrink2 () =
-        h := !h - 2;
-        tos := Array.unsafe_get stack !h
-      in
-      let burn n =
-        fuel := !fuel - n;
-        if !fuel < 0 then Fault.raise_fault Fault.Fuel_exhausted
-      in
-      let enter_func target ret_pc =
-        if !depth >= max_frames then Fault.raise_fault Fault.Stack_overflow;
-        let f = p.Program.funcs.(target) in
-        let frame = frames.(!depth) in
-        frame.ret_pc <- ret_pc;
-        if Array.length frame.locals < f.Program.nlocals then
-          frame.locals <- Array.make (max 8 f.Program.nlocals) 0;
-        for i = f.Program.nargs - 1 downto 0 do
-          frame.locals.(i) <- pop ()
-        done;
-        incr depth;
-        locs := frame.locals;
-        f.Program.entry
-      in
-      let binop f =
-        if !h < 2 then underflow ();
-        let a = under () in
-        decr h;
-        tos := f a !tos
-      in
-      let divlike f =
-        if !h < 2 then underflow ();
-        let b = !tos in
-        let a = under () in
-        if b = 0 then Fault.raise_fault Fault.Division_by_zero;
-        decr h;
-        tos := f a b
-      in
-      let cmp f =
-        if !h < 2 then underflow ();
-        let a = under () in
-        decr h;
-        tos := if f a !tos then 1 else 0
-      in
-      let unop f =
-        if !h < 1 then underflow ();
-        tos := f !tos
-      in
-      let aload arr =
-        let d = p.Program.arrays.(arr) in
-        if !h < 1 then underflow ();
-        let i = !tos in
-        if i < 0 || i >= d.Program.len then
-          Fault.raise_fault
-            (Fault.Out_of_bounds { access = Fault.Read; addr = i });
-        tos := Array.unsafe_get cells (d.Program.base + i)
-      in
-      let astore arr =
-        let d = p.Program.arrays.(arr) in
-        if !h < 2 then underflow ();
-        let v = !tos in
-        let i = under () in
-        if i < 0 || i >= d.Program.len then
-          Fault.raise_fault
-            (Fault.Out_of_bounds { access = Fault.Write; addr = i });
-        if not d.Program.writable then
-          Fault.raise_fault
-            (Fault.Protection
-               { access = Fault.Write; addr = d.Program.base + i });
-        shrink2 ();
-        Array.unsafe_set cells (d.Program.base + i) v
-      in
-      let result = ref 0 in
-      let running = ref true in
-      let pc = ref 0 in
-      (* Sampled entry span (see [Trace.hot_begin]): a resident graft is
-         entered once per kernel event, far too often to time every
-         run. *)
-      let tok = Graft_trace.Trace.hot_begin () in
-      let outcome =
-        try
-          Array.iter push args;
-        pc := enter_func fidx (-1);
-        while !running do
-          decr fuel;
-          if !fuel < 0 then Fault.raise_fault Fault.Fuel_exhausted;
-          let instr = Array.unsafe_get code !pc in
-          incr pc;
-          (match prof with
-          | None -> ()
-          | Some pr ->
-              Graft_trace.Opprof.hit pr (Opcode.index instr)
-                (Opcode.width instr));
-          match instr with
-          | Opcode.Const n -> push n
-          | Opcode.Load_local n -> push (!locs).(n)
-          | Opcode.Store_local n -> (!locs).(n) <- pop ()
-          | Opcode.Load_global a -> push (Array.unsafe_get cells a)
-          | Opcode.Store_global a -> Array.unsafe_set cells a (pop ())
-          | Opcode.Aload arr -> aload arr
-          | Opcode.Astore arr -> astore arr
-          | Opcode.Aload_u arr ->
-              let d = p.Program.arrays.(arr) in
-              if !h < 1 then underflow ();
-              tos := Array.unsafe_get cells (d.Program.base + !tos)
-          | Opcode.Astore_u arr ->
-              let d = p.Program.arrays.(arr) in
-              if !h < 2 then underflow ();
-              let v = !tos in
-              let i = under () in
-              shrink2 ();
-              Array.unsafe_set cells (d.Program.base + i) v
-          | Opcode.Mlookup m ->
-              if !h < 1 then underflow ();
-              tos := Graft_kernel.Graftmap.lookup p.Program.maps.(m) !tos
-          | Opcode.Mupdate m ->
-              if !h < 2 then underflow ();
-              let v = !tos in
-              let k = under () in
-              decr h;
-              tos := Graft_kernel.Graftmap.update p.Program.maps.(m) k v
-          | Opcode.Mlookup_u m ->
-              if !h < 1 then underflow ();
-              tos := Graft_kernel.Graftmap.unsafe_get p.Program.maps.(m) !tos
-          | Opcode.Mupdate_u m ->
-              if !h < 2 then underflow ();
-              let v = !tos in
-              let k = under () in
-              decr h;
-              Graft_kernel.Graftmap.unsafe_set p.Program.maps.(m) k v;
-              tos := 1
-          | Opcode.Div_u -> binop ( / )
-          | Opcode.Mod_u -> binop (fun a b -> a mod b)
-          (* The arithmetic core is written out rather than routed
-             through [binop f]: one closure call per executed
-             instruction is real money in a dispatch loop. *)
-          | Opcode.Add ->
-              if !h < 2 then underflow ();
-              let a = under () in
-              decr h;
-              tos := a + !tos
-          | Opcode.Sub ->
-              if !h < 2 then underflow ();
-              let a = under () in
-              decr h;
-              tos := a - !tos
-          | Opcode.Mul ->
-              if !h < 2 then underflow ();
-              let a = under () in
-              decr h;
-              tos := a * !tos
-          | Opcode.Div -> divlike ( / )
-          | Opcode.Mod -> divlike (fun a b -> a mod b)
-          | Opcode.Shl -> binop Wordops.int_shl
-          | Opcode.Shr -> binop Wordops.int_shr
-          | Opcode.Lshr -> binop Wordops.int_lshr
-          | Opcode.Band ->
-              if !h < 2 then underflow ();
-              let a = under () in
-              decr h;
-              tos := a land !tos
-          | Opcode.Bor ->
-              if !h < 2 then underflow ();
-              let a = under () in
-              decr h;
-              tos := a lor !tos
-          | Opcode.Bxor ->
-              if !h < 2 then underflow ();
-              let a = under () in
-              decr h;
-              tos := a lxor !tos
-          | Opcode.Bnot -> unop lnot
-          | Opcode.Neg -> unop (fun v -> -v)
-          | Opcode.Wadd ->
-              if !h < 2 then underflow ();
-              let a = under () in
-              decr h;
-              tos := Wordops.add a !tos
-          | Opcode.Wsub ->
-              if !h < 2 then underflow ();
-              let a = under () in
-              decr h;
-              tos := Wordops.sub a !tos
-          | Opcode.Wmul -> binop Wordops.mul
-          | Opcode.Wshl ->
-              if !h < 2 then underflow ();
-              let a = under () in
-              decr h;
-              tos := Wordops.shl a !tos
-          | Opcode.Wshr ->
-              if !h < 2 then underflow ();
-              let a = under () in
-              decr h;
-              tos := Wordops.shr a !tos
-          | Opcode.Wbnot -> unop Wordops.bnot
-          | Opcode.Wneg -> unop Wordops.neg
-          | Opcode.Wmask -> unop Wordops.of_int
-          | Opcode.Lt -> cmp ( < )
-          | Opcode.Le -> cmp ( <= )
-          | Opcode.Gt -> cmp ( > )
-          | Opcode.Ge -> cmp ( >= )
-          | Opcode.Eq -> cmp ( = )
-          | Opcode.Ne -> cmp ( <> )
-          | Opcode.Tobool -> unop (fun v -> if v = 0 then 0 else 1)
-          | Opcode.Not -> unop (fun v -> if v = 0 then 1 else 0)
-          | Opcode.Jmp t -> pc := t
-          | Opcode.Jz t -> if pop () = 0 then pc := t
-          | Opcode.Jnz t -> if pop () <> 0 then pc := t
-          | Opcode.Call target -> pc := enter_func target !pc
-          | Opcode.Callext target ->
-              let arity = p.Program.ext_arity.(target) in
-              let argv = Array.make arity 0 in
-              for i = arity - 1 downto 0 do
-                argv.(i) <- pop ()
-              done;
-              push (p.Program.host.(target) argv)
-          | Opcode.Ret ->
-              let v = pop () in
-              decr depth;
-              let ret_pc = frames.(!depth).ret_pc in
-              if ret_pc = -1 then begin
-                result := v;
-                running := false
-              end
-              else begin
-                locs := frames.(!depth - 1).locals;
-                push v;
-                pc := ret_pc
-              end
-          | Opcode.Pop -> ignore (pop ())
-          | Opcode.Dup ->
-              if !h < 1 then underflow ();
-              push !tos
-          | Opcode.Halt -> Fault.raise_fault (Fault.Illegal_instruction "halt")
-          | Opcode.Bink (op, k) ->
-              burn 1;
-              if !h < 1 then underflow ();
-              tos := Opcode.bink_fn op !tos k
-          | Opcode.Cmpk (c, k) ->
-              burn 1;
-              if !h < 1 then underflow ();
-              tos := (if Opcode.cmp_fn c !tos k then 1 else 0)
-          | Opcode.Jcmp (c, flag, t) ->
-              burn 1;
-              if !h < 2 then underflow ();
-              let b = !tos in
-              let a = under () in
-              shrink2 ();
-              if Opcode.cmp_fn c a b = flag then pc := t
-          | Opcode.Jcmpk (c, k, flag, t) ->
-              burn 2;
-              if Opcode.cmp_fn c (pop ()) k = flag then pc := t
-          | Opcode.Aload_k (arr, k) ->
-              burn 1;
-              let d = p.Program.arrays.(arr) in
-              if k < 0 || k >= d.Program.len then
-                Fault.raise_fault
-                  (Fault.Out_of_bounds { access = Fault.Read; addr = k });
-              push (Array.unsafe_get cells (d.Program.base + k))
-          | Opcode.Local_addk (n, k) ->
-              burn 3;
-              let locals = !locs in
-              locals.(n) <- locals.(n) + k
-          | Opcode.Load_local2 (a, b) ->
-              burn 1;
-              let locals = !locs in
-              push locals.(a);
-              push locals.(b)
-          | Opcode.Bin_local (op, n) ->
-              burn 1;
-              if !h < 1 then underflow ();
-              tos := Opcode.bink_fn op !tos (!locs).(n)
-          | Opcode.Bin_local2 (op, a, b) ->
-              burn 2;
-              let locals = !locs in
-              push (Opcode.bink_fn op locals.(a) locals.(b))
-          | Opcode.Aload_local (arr, n) ->
-              burn 1;
-              let d = p.Program.arrays.(arr) in
-              let i = (!locs).(n) in
-              if i < 0 || i >= d.Program.len then
-                Fault.raise_fault
-                  (Fault.Out_of_bounds { access = Fault.Read; addr = i });
-              push (Array.unsafe_get cells (d.Program.base + i))
-          | Opcode.Move_local (dst, src) ->
-              burn 1;
-              let locals = !locs in
-              locals.(dst) <- locals.(src)
-          | Opcode.Jcmpk_local (c, n, k, flag, t) ->
-              burn 3;
-              if Opcode.cmp_fn c (!locs).(n) k = flag then
-                pc := t
-          | Opcode.Store_localk (n, k) ->
-              burn 1;
-              (!locs).(n) <- k
-          | Opcode.Bin_store (op, n) ->
-              burn 1;
-              if !h < 2 then underflow ();
-              let a = under () in
-              let b = !tos in
-              shrink2 ();
-              (!locs).(n) <- Opcode.bink_fn op a b
-          | Opcode.Bink_store (op, k, n) ->
-              burn 2;
-              (!locs).(n) <- Opcode.bink_fn op (pop ()) k
-          | Opcode.Bink_local (op, n, k) ->
-              burn 2;
-              push (Opcode.bink_fn op (!locs).(n) k)
-          | Opcode.Bin_aload_local (op, arr, n) ->
-              (* Two-step fuel charge: the array access is the
-                 pattern's 2nd instruction (see [run_session]). *)
-              burn 1;
-              let d = p.Program.arrays.(arr) in
-              let i = (!locs).(n) in
-              if i < 0 || i >= d.Program.len then
-                Fault.raise_fault
-                  (Fault.Out_of_bounds { access = Fault.Read; addr = i });
-              let v = Array.unsafe_get cells (d.Program.base + i) in
-              burn 1;
-              if !h < 1 then underflow ();
-              tos := Opcode.bink_fn op !tos v
-          | Opcode.Aload_local_store (arr, n, dst) ->
-              burn 1;
-              let d = p.Program.arrays.(arr) in
-              let locals = !locs in
-              let i = locals.(n) in
-              if i < 0 || i >= d.Program.len then
-                Fault.raise_fault
-                  (Fault.Out_of_bounds { access = Fault.Read; addr = i });
-              let v = Array.unsafe_get cells (d.Program.base + i) in
-              burn 1;
-              locals.(dst) <- v
-          | Opcode.Move_local2 (d1, s1, d2, s2) ->
-              burn 3;
-              let locals = !locs in
-              locals.(d1) <- locals.(s1);
-              locals.(d2) <- locals.(s2)
-        done;
-          Ok !result
-        with Fault.Fault f ->
-          Graft_trace.Trace.instant Graft_trace.Trace.Vm_stack
-            ("fault:" ^ Fault.class_name f);
-          Error (`Fault f)
-      in
-      (match prof with
-      | None -> ()
-      | Some pr -> Graft_trace.Opprof.run_done pr ~fuel:(fuel0 - max 0 !fuel));
-      Graft_metrics.inc (m_sessions_opt ());
-      Graft_metrics.inc (m_fuel_opt ()) ~by:(fuel0 - max 0 !fuel);
-      Graft_metrics.observe (m_fuel_hist ()) (fuel0 - max 0 !fuel);
-      Graft_trace.Trace.span_end Graft_trace.Trace.Vm_stack "stackvm.opt" tok;
-      outcome)
-
-(** One-shot convenience over the optimizing loop. *)
-let run_opt p ~entry ~args ~fuel =
-  run_session_opt (create_session p) ~entry ~args ~fuel

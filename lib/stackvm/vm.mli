@@ -12,8 +12,8 @@ val stack_size : int
     are single-threaded and reusable across calls, not reentrant. *)
 type session
 
-(** [create_session ?profile p] — when [profile] is given, both
-    dispatch loops count every executed opcode and each entry's fuel
+(** [create_session ?profile p] — when [profile] is given, the
+    dispatch loop counts every executed opcode and each entry's fuel
     into it (see {!Graft_trace.Opprof}). *)
 val create_session : ?profile:Graft_trace.Opprof.t -> Program.t -> session
 
@@ -26,26 +26,6 @@ val run_session :
 
 (** One-shot convenience; resident grafts should keep a session. *)
 val run :
-  Program.t ->
-  entry:string ->
-  args:int array ->
-  fuel:int ->
-  (int, [ `Fault of Graft_mem.Fault.t | `Bad_entry of string ]) result
-
-(** The optimizing dispatch loop: identical semantics to
-    {!run_session} — including fuel accounting and fault points — but
-    with the top-of-stack slot cached in a local mutable, the fast
-    path of the optimized bytecode tier. Runs plain and
-    peephole-optimized programs alike. *)
-val run_session_opt :
-  session ->
-  entry:string ->
-  args:int array ->
-  fuel:int ->
-  (int, [ `Fault of Graft_mem.Fault.t | `Bad_entry of string ]) result
-
-(** One-shot convenience over the optimizing loop. *)
-val run_opt :
   Program.t ->
   entry:string ->
   args:int array ->

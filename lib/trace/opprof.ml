@@ -6,11 +6,10 @@
     enough to sit inside the dispatch loop behind a [match ... with
     None] guard; everything else runs at reporting time.
 
-    Because every opcode charges fuel equal to its {e width} (fused
-    superinstructions charge the count of plain instructions they
-    replace), a profile's fuel total equals the fuel the session
-    actually consumed — a cross-check the tests exercise on both
-    dispatch tiers. *)
+    [hit] records the fuel each opcode charges (one unit on every VM
+    today), so a profile's fuel total equals the fuel the session
+    actually consumed — a cross-check the tests exercise on the
+    interpreter, the JIT and the register VM. *)
 
 type t = {
   names : string array;  (** opcode-class names, indexed like counts *)

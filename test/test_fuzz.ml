@@ -252,23 +252,6 @@ let stackvm_engine ?(optimize = false) name =
         | Error (`Bad_entry m) -> Error m);
   }
 
-(* The optimized bytecode tier: peephole-fused program image run by the
-   top-of-stack-caching dispatch loop. Must be observably identical to
-   the plain tier, including fault identity and fuel accounting. *)
-let stackvm_opt_engine ?(optimize = false) name =
-  {
-    ename = name;
-    run =
-      (fun src ~args ->
-        let maps = fuzz_maps () in
-        let image = build_image ~optimize ~hosts:(map_hosts maps) src in
-        let prog = Graft_stackvm.Stackvm.load_opt_exn ~maps image in
-        match Graft_stackvm.Vm.run_opt prog ~entry:"main" ~args ~fuel with
-        | Ok v -> Ok (v, final_state maps image)
-        | Error (`Fault f) -> Error (Fault.to_string f)
-        | Error (`Bad_entry m) -> Error m);
-  }
-
 (* The statically checked tier: abstract-interpretation facts elide
    bounds and divisor checks, and the load-time verifier re-derives
    every elision. Must be observably identical to the checked tier. *)
@@ -323,8 +306,6 @@ let engines =
     interp_engine ~optimize:true "ast-interp+opt";
     stackvm_engine "bytecode-vm";
     stackvm_engine ~optimize:true "bytecode-vm+opt";
-    stackvm_opt_engine "bytecode-peep";
-    stackvm_opt_engine ~optimize:true "bytecode-peep+opt";
     stackvm_static_engine "bytecode-static";
     jit_engine "jit";
     regvm_engine ~bounded:true ~protection:Graft_regvm.Program.Write_jump
@@ -412,8 +393,8 @@ let fault_result = function
 (* Engines that trap every fault class with a checked fault: the AST
    interpreter and all three stack-bytecode tiers. *)
 let checked_fault_engines =
-  (* A mix of doors: the interpreter and peephole tier reach the map
-     through helper host calls, the other stack tiers and the JIT
+  (* A mix of doors: the interpreter and the plain bytecode tier reach
+     the map through helper host calls, the static tier and the JIT
      through lowered map opcodes — the injected misuse must class
      identically either way. *)
   let stack load run name =
@@ -433,8 +414,6 @@ let checked_fault_engines =
         (fault_result r, final_state maps image) );
     stack (fun _ image -> Graft_stackvm.Stackvm.load_exn image)
       Graft_stackvm.Vm.run "bytecode-vm";
-    stack (fun _ image -> Graft_stackvm.Stackvm.load_opt_exn image)
-      Graft_stackvm.Vm.run_opt "bytecode-peep";
     stack (fun maps image ->
         Graft_stackvm.Stackvm.load_static_exn ~maps image)
       Graft_stackvm.Vm.run "bytecode-static";

@@ -118,7 +118,6 @@ let demux_techs =
   [
     Technology.Ast_interp;
     Technology.Bytecode_vm;
-    Technology.Bytecode_opt;
     Technology.Safe_lang_static;
     Technology.Jit;
     Technology.Sfi_write_jump;

@@ -302,102 +302,73 @@ let test_verify_bad_array_descriptor () =
   let p = mkprog ~arrays ~funcs:[| fdesc ~entry:0 ~code_end:2 "f" |] code in
   expect_reject p "address space"
 
-(* ---------- verifier: hand-built misuse of fused opcodes ---------- *)
-
-let reject_code ?(nlocals = 2) ?arrays code fragment =
+let test_verify_stack_overflow () =
+  let code = Array.append (Array.make (Verify.max_stack + 1) (Opcode.Const 0)) [| Opcode.Ret |] in
   let n = Array.length code in
-  let p =
-    mkprog ?arrays ~funcs:[| fdesc ~nlocals ~entry:0 ~code_end:n "f" |] code
-  in
-  expect_reject p fragment
+  let p = mkprog ~funcs:[| fdesc ~entry:0 ~code_end:n "f" |] code in
+  expect_reject p "stack overflow"
 
-let test_verify_fused_underflow () =
-  reject_code [| Opcode.Bink (Opcode.KAdd, 1); Opcode.Ret |] "underflow";
-  reject_code
-    [| Opcode.Const 1; Opcode.Jcmp (Opcode.Clt, false, 0); Opcode.Const 0;
-       Opcode.Ret |]
-    "underflow";
-  reject_code
-    [| Opcode.Const 1; Opcode.Bin_store (Opcode.KAdd, 0); Opcode.Const 0;
-       Opcode.Ret |]
-    "underflow"
+let test_verify_bad_extern_target () =
+  let code = [| Opcode.Callext 0; Opcode.Ret |] in
+  let p = mkprog ~funcs:[| fdesc ~entry:0 ~code_end:2 "f" |] code in
+  expect_reject p "invalid extern"
 
-let test_verify_fused_div_by_constant_zero () =
-  reject_code
-    [| Opcode.Const 1; Opcode.Bink (Opcode.KDiv, 0); Opcode.Ret |]
-    "constant zero";
-  reject_code
-    [| Opcode.Const 1; Opcode.Bink (Opcode.KMod, 0); Opcode.Ret |]
-    "constant zero";
-  reject_code
-    [| Opcode.Const 1; Opcode.Bink_store (Opcode.KDiv, 0, 0); Opcode.Const 0;
-       Opcode.Ret |]
-    "constant zero";
-  reject_code
-    [| Opcode.Bink_local (Opcode.KMod, 0, 0); Opcode.Ret |]
-    "constant zero"
+let test_verify_bad_code_extent () =
+  let code = [| Opcode.Const 0; Opcode.Ret |] in
+  expect_reject
+    (mkprog ~funcs:[| fdesc ~entry:0 ~code_end:9 "f" |] code)
+    "bad code extent";
+  expect_reject
+    (mkprog ~funcs:[| fdesc ~entry:2 ~code_end:1 "f" |] code)
+    "bad code extent"
 
-let test_verify_fused_div_unprovable () =
-  (* A local or popped divisor can be zero at run time, so the fused
-     forms must never carry Div/Mod: the peephole pass keeps the plain
-     opcode there, and hand-built bytecode that tries is rejected. *)
-  reject_code
-    [| Opcode.Const 1; Opcode.Bin_local (Opcode.KDiv, 0); Opcode.Ret |]
-    "by a local";
-  reject_code
-    [| Opcode.Bin_local2 (Opcode.KMod, 0, 1); Opcode.Ret |]
-    "by a local";
-  reject_code
-    [| Opcode.Const 6; Opcode.Const 2; Opcode.Bin_store (Opcode.KDiv, 0);
-       Opcode.Const 0; Opcode.Ret |]
-    "popped";
-  reject_code
-    [| Opcode.Const 6; Opcode.Bin_aload_local (Opcode.KMod, 0, 0);
-       Opcode.Ret |]
-    "popped"
+let test_verify_bad_frame_shape () =
+  let code = [| Opcode.Const 0; Opcode.Ret |] in
+  expect_reject
+    (mkprog ~funcs:[| fdesc ~nargs:3 ~nlocals:2 ~entry:0 ~code_end:2 "f" |] code)
+    "more args than locals";
+  expect_reject
+    (mkprog
+       ~funcs:[| fdesc ~nlocals:(Verify.max_locals + 1) ~entry:0 ~code_end:2 "f" |]
+       code)
+    "too many locals"
 
-let test_verify_fused_bad_array_id () =
+(* The host, arity and name tables are parallel arrays indexed by the
+   extern id; a program whose tables disagree is malformed. *)
+let test_verify_extern_tables () =
+  let code = [| Opcode.Const 0; Opcode.Ret |] in
+  let p = mkprog ~ext_arity:[| 1 |] ~funcs:[| fdesc ~entry:0 ~code_end:2 "f" |] code in
+  expect_reject { p with Program.ext_arity = [| 1; 2 |] } "arity table length";
+  expect_reject { p with Program.ext_names = [||] } "name table length"
+
+(* A helper-named extern must carry the typed helper table's arity, so
+   a graft cannot call a map helper with a short argument list. *)
+let test_verify_helper_arity () =
+  let code = [| Opcode.Const 0; Opcode.Callext 0; Opcode.Ret |] in
+  let p = mkprog ~ext_arity:[| 1 |] ~funcs:[| fdesc ~entry:0 ~code_end:3 "f" |] code in
+  expect_reject { p with Program.ext_names = [| "map_lookup" |] } "helper signature"
+
+let test_verify_bad_map_id () =
+  let code = [| Opcode.Const 0; Opcode.Mlookup 2; Opcode.Ret |] in
+  let p = mkprog ~funcs:[| fdesc ~entry:0 ~code_end:3 "f" |] code in
+  expect_reject p "map id 2 out of range"
+
+(* The proof manifest is untrusted: a proof must name a pc inside the
+   code, and at most one proof may cover an unchecked instruction. *)
+let test_verify_bad_proof_manifest () =
+  let module I = Graft_analysis.Interval in
   let arrays = [| { Program.base = 0; len = 8; writable = true } |] in
-  reject_code ~arrays [| Opcode.Aload_k (3, 0); Opcode.Ret |] "array id";
-  reject_code ~arrays [| Opcode.Aload_local (3, 0); Opcode.Ret |] "array id";
-  reject_code ~arrays
-    [| Opcode.Const 1; Opcode.Bin_aload_local (Opcode.KAdd, 3, 0);
-       Opcode.Ret |]
-    "array id";
-  reject_code ~arrays
-    [| Opcode.Aload_local_store (3, 0, 1); Opcode.Const 0; Opcode.Ret |]
-    "array id"
-
-let test_verify_fused_bad_local () =
-  reject_code
-    [| Opcode.Local_addk (5, 1); Opcode.Const 0; Opcode.Ret |]
-    "local 5 out of range";
-  reject_code
-    [| Opcode.Bink_local (Opcode.KAdd, 5, 1); Opcode.Ret |]
-    "local 5 out of range";
-  reject_code
-    [| Opcode.Move_local2 (0, 1, 5, 0); Opcode.Const 0; Opcode.Ret |]
-    "local 5 out of range";
-  reject_code
-    [| Opcode.Bin_local2 (Opcode.KAdd, 0, 5); Opcode.Ret |]
-    "local 5 out of range";
-  reject_code
-    [| Opcode.Store_localk (5, 1); Opcode.Const 0; Opcode.Ret |]
-    "local 5 out of range";
-  let arrays = [| { Program.base = 0; len = 8; writable = true } |] in
-  reject_code ~arrays
-    [| Opcode.Aload_local_store (0, 0, 5); Opcode.Const 0; Opcode.Ret |]
-    "local 5 out of range"
-
-let test_verify_fused_jump_outside () =
-  reject_code
-    [| Opcode.Const 0; Opcode.Jcmpk (Opcode.Ceq, 0, false, 9); Opcode.Const 0;
-       Opcode.Ret |]
-    "outside";
-  reject_code
-    [| Opcode.Jcmpk_local (Opcode.Clt, 0, 3, true, 9); Opcode.Const 0;
-       Opcode.Ret |]
-    "outside"
+  let code = [| Opcode.Const 0; Opcode.Aload_u 0; Opcode.Ret |] in
+  let funcs = [| fdesc ~entry:0 ~code_end:3 "f" |] in
+  (match Verify.verify (mkprog ~arrays ~funcs ~proofs:[| (1, I.range 0 0) |] code) with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "well-formed manifest rejected: %s" m);
+  expect_reject
+    (mkprog ~arrays ~funcs ~proofs:[| (1, I.range 0 0); (9, I.range 0 0) |] code)
+    "proof at invalid pc";
+  expect_reject
+    (mkprog ~arrays ~funcs ~proofs:[| (1, I.range 0 0); (1, I.range 0 0) |] code)
+    "duplicate proof"
 
 (* The VM refuses unverified malicious code end-to-end via load. *)
 let test_load_rejects () =
@@ -556,7 +527,9 @@ let prop_verifier_total_and_safe =
           | Ok _ | Error (`Fault _) -> true
           | Error (`Bad_entry _) -> false))
 
-(* ---------- the optimized tier: peephole + TOS-caching loop ---------- *)
+(* ---------- the JIT: the one fast path over this bytecode ---------- *)
+
+module Jit = Graft_jit.Jit
 
 let loopy_src =
   "array a[8];\n\
@@ -568,51 +541,6 @@ let loopy_src =
    }\n\
    return s;\n\
    }"
-
-let test_peephole_fuses () =
-  let plain = Stackvm.load_exn (fresh_image loopy_src) in
-  let opt = Stackvm.load_opt_exn (fresh_image loopy_src) in
-  Alcotest.(check bool) "code got shorter" true
-    (Array.length opt.Program.code < Array.length plain.Program.code);
-  let has f = Array.exists f opt.Program.code in
-  Alcotest.(check bool) "some superinstruction present" true
-    (has (function
-      | Opcode.Bink _ | Opcode.Local_addk _ | Opcode.Jcmpk_local _
-      | Opcode.Bink_store _ | Opcode.Bink_local _ | Opcode.Bin_store _ ->
-          true
-      | _ -> false));
-  (* Re-running the pass on its own output must change nothing: fused
-     opcodes never match a pattern head. *)
-  let again = Peephole.optimize opt in
-  Alcotest.(check bool) "idempotent" true (again.Program.code = opt.Program.code)
-
-(* Both tiers on the same image: load vs load_opt differ only by the
-   peephole pass, so results, faults and fuel accounting must agree
-   exactly, instruction for instruction. *)
-let run_both_tiers src ~args ~fuel =
-  let base = Vm.run (Stackvm.load_exn (fresh_image src)) ~entry:"main" ~args ~fuel in
-  let opt =
-    Vm.run_opt (Stackvm.load_opt_exn (fresh_image src)) ~entry:"main" ~args ~fuel
-  in
-  (base, opt)
-
-let show_tier = function
-  | Ok v -> Printf.sprintf "Ok %d" v
-  | Error (`Fault f) -> "fault " ^ Fault.to_string f
-  | Error (`Bad_entry m) -> "bad entry " ^ m
-
-let test_tiers_differential () =
-  let r = Graft_util.Prng.create 0x0B7L in
-  List.iter
-    (fun (name, src, gen) ->
-      for _ = 1 to 10 do
-        let args = gen r in
-        let base, opt = run_both_tiers src ~args ~fuel:50_000_000 in
-        if base <> opt then
-          Alcotest.failf "%s: tiers disagree: base %s, opt %s" name
-            (show_tier base) (show_tier opt)
-      done)
-    diff_programs
 
 let faulty_src =
   (* Faults on purpose: a[n] is out of bounds for n outside [0, 8) and
@@ -627,88 +555,184 @@ let faulty_src =
    return s + a[n];\n\
    }"
 
-(* Every fused superinstruction the peephole pass can emit must both
-   disassemble and re-verify: Stackvm.load_opt runs the verifier over
-   fused code in production, so a fused form the verifier cannot type
-   is a load-time failure waiting for the right source, and a form
-   Opcode.to_string cannot print breaks `graftkit gel --dump`. The
-   corpus is chosen so the pass emits all 19 fused constructors at
-   least once; the coverage assertion keeps it honest when patterns
-   are added or the compiler's code shapes drift. *)
-let fused_roundtrip_corpus =
+let show_tier = function
+  | Ok v -> Printf.sprintf "Ok %d" v
+  | Error (`Fault f) -> "fault " ^ Fault.to_string f
+  | Error (`Bad_entry m) -> "bad entry " ^ m
+
+(* The checked interpreter and the JIT on fresh images of one source:
+   the outcome and the whole memory image afterwards. The JIT compiles
+   the statically checked program, so this also pins that eliding
+   proven checks changes neither results nor fuel accounting. *)
+let run_interp ?bounded src ~args ~fuel =
+  let image = fresh_image src in
+  let r = Vm.run (Stackvm.load_exn ?bounded image) ~entry:"main" ~args ~fuel in
+  (r, Array.copy (Memory.cells image.Link.mem))
+
+let run_jit ?bounded src ~args ~fuel =
+  let image = fresh_image src in
+  let r = Jit.run (Jit.load_exn ?bounded image) ~entry:"main" ~args ~fuel in
+  (r, Array.copy (Memory.cells image.Link.mem))
+
+let check_tiers_agree what (r1, m1) (r2, m2) =
+  if r1 <> r2 then
+    Alcotest.failf "%s: interpreter %s, jit %s" what (show_tier r1) (show_tier r2);
+  if m1 <> m2 then
+    Alcotest.failf "%s: tiers agree on %s but memory differs" what (show_tier r1)
+
+let test_jit_tiers_differential () =
+  let r = Graft_util.Prng.create 0x0B7L in
+  List.iter
+    (fun (name, src, gen) ->
+      for _ = 1 to 10 do
+        let args = gen r in
+        let what =
+          Printf.sprintf "%s (%s)" name
+            (String.concat ", " (Array.to_list (Array.map string_of_int args)))
+        in
+        check_tiers_agree what
+          (run_interp src ~args ~fuel:50_000_000)
+          (run_jit src ~args ~fuel:50_000_000)
+      done)
+    diff_programs
+
+(* Sweep EVERY fuel budget from 0 until past completion: a compiled
+   block that performed its stores before charging its fuel would pass
+   the result check at most budgets but leave different memory when
+   the watchdog fires inside the block. *)
+let test_jit_fuel_parity_sessions () =
+  List.iter
+    (fun (name, src, argsets) ->
+      List.iter
+        (fun args ->
+          (* Sweep until the interpreter reaches its terminal outcome
+             (anything but fuel exhaustion), then 3 budgets beyond. *)
+          let rec sweep fuel remaining =
+            if remaining = 0 then ()
+            else if fuel > 4000 then
+              Alcotest.failf "%s: no terminal outcome within 4000 fuel" name
+            else begin
+              let ((r1, _) as interp) = run_interp src ~args ~fuel in
+              check_tiers_agree
+                (Printf.sprintf "%s args %d fuel %d" name args.(0) fuel)
+                interp (run_jit src ~args ~fuel);
+              let remaining =
+                match r1 with
+                | Error (`Fault Fault.Fuel_exhausted) -> remaining
+                | _ -> remaining - 1
+              in
+              sweep (fuel + 1) remaining
+            end
+          in
+          sweep 0 3)
+        argsets)
+    [
+      ("loopy", loopy_src, [ [| 3 |]; [| -7 |] ]);
+      ("faulty ok", faulty_src, [ [| 2 |] ]);
+      ("faulty oob", faulty_src, [ [| 9 |]; [| -3 |] ]);
+      ("faulty div", faulty_src, [ [| -100 |] ]);
+    ]
+
+let prop_jit_agrees_any_fuel =
+  (* Random fuel budgets cut execution off mid-block; random arguments
+     hit the bounds and division faults. *)
+  QCheck.Test.make ~name:"jit = checked interpreter at any fuel" ~count:300
+    QCheck.(pair (int_range 0 400) (int_range (-110) 110))
+    (fun (fuel, n) ->
+      let (r1, m1) = run_interp faulty_src ~args:[| n |] ~fuel in
+      let (r2, m2) = run_jit faulty_src ~args:[| n |] ~fuel in
+      if r1 <> r2 then
+        QCheck.Test.fail_reportf "fuel %d n %d: interpreter %s, jit %s" fuel n
+          (show_tier r1) (show_tier r2);
+      if m1 <> m2 then QCheck.Test.fail_reportf "fuel %d n %d: memory differs" fuel n;
+      true)
+
+(* Every opcode class the compiler emits, checked and elided, must
+   disassemble, re-verify, and run the same on the interpreter and the
+   JIT. The coverage assertion keeps the corpus honest when the
+   compiler's code shapes drift. Dup and Halt are never emitted
+   reachably, and the map opcodes need attached maps (test_gate covers
+   them). *)
+let opcode_corpus =
   [
     loopy_src;
     faulty_src;
-    (* moves, constant stores, and a lone move between the two *)
-    "fn main(x : int) : int {\n\
-     var y = 0; var z = 0; var w = 0;\n\
-     y = x; z = y;\n\
-     w = 5;\n\
-     z = w;\n\
-     return w + z;\n\
-     }";
-    (* calls break fusion runs: bare Jcmp, Bin_store, Load_local2 *)
-    "fn f(n : int) : int { return n - 1; }\n\
-     fn g2(p : int, q : int) : int { return p * q; }\n\
-     fn main(x : int) : int {\n\
-     var y = 7; var s = 0;\n\
-     s = f(x) + f(y);\n\
-     if (f(x) < f(y)) { s = s + g2(x, y); }\n\
-     return s;\n\
-     }";
-    (* array forms: constant index, local index, load-into-local,
-       load-as-operand *)
-    "array a[8];\n\
-     var g : int = 0;\n\
-     fn h(i : int) : int { return a[i]; }\n\
-     fn main(i : int) : int {\n\
-     var x = 0; var y = 3;\n\
-     x = a[i];\n\
-     g = x * y + a[i];\n\
-     g = x * y + 7;\n\
-     g = x * y * y;\n\
-     return a[2] + h(i);\n\
-     }";
-    (* comparison against a constant without a branch, fused divides *)
-    "fn main(n : int) : int {\n\
+    "var g : int = 5;\n\
+     array a[8];\n\
+     extern fn twice(int) : int;\n\
+     fn bump(x : int) : int { g = g + x; return g; }\n\
+     fn main(i : int, d : int) : int {\n\
      var s = 0;\n\
-     for (var i = 0; i < 10; i = i + 1) { s = s + 2; }\n\
-     var b : bool = n == 3;\n\
-     if (!b) { s = s * n + 1; }\n\
-     if (s * n > 12) { s = 0; }\n\
-     return s + n / 3;\n\
+     bump(1);\n\
+     a[i & 7] = i;\n\
+     if (d >= 0 && d < 8) { a[d] = i; s = a[d]; }\n\
+     s = s + a[i & 7];\n\
+     s = s + i / 3 + i % 3;\n\
+     if (d != 0) { s = s + i / d + i % d; }\n\
+     s = s - (i << 2) + (i >> 1) + (i >>> 1);\n\
+     s = s * ((i & 3) | (d ^ 5));\n\
+     s = s + ~i + -d;\n\
+     var w : word = word(i);\n\
+     w = (w + word(d)) * w - word(3);\n\
+     w = ~w + -w;\n\
+     w = (w << 3) >> 1;\n\
+     var b : bool = (i > 3 && d < 2) || !(i == d);\n\
+     if (b) { s = s + 1; }\n\
+     if (i <= d) { s = s + 2; }\n\
+     while (s > 100) { s = s - 7; }\n\
+     return s + int(w & 0xFF) + twice(i) + g;\n\
      }";
   ]
 
-let test_peephole_verifier_roundtrip () =
-  let seen = Hashtbl.create 32 in
+let test_opcode_classes_roundtrip () =
+  let hosts = [ { Link.hname = "twice"; hfn = (fun a -> 2 * a.(0)) } ] in
+  let seen = Hashtbl.create 64 in
   List.iter
     (fun src ->
-      let opt = Stackvm.load_opt_exn (fresh_image src) in
-      (* load_opt already verified once; re-verify the fused program
-         explicitly to pin the round trip. *)
-      (match Verify.verify opt with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "fused program fails re-verify: %s" e);
-      ignore (Disasm.program opt);
-      Array.iter
-        (fun op ->
-          if String.length (Opcode.to_string op) = 0 then
-            Alcotest.fail "empty disassembly";
-          if Opcode.width op > 1 then Hashtbl.replace seen (Opcode.index op) ())
-        opt.Program.code)
-    fused_roundtrip_corpus;
-  (* Opcode indices 49..67 are exactly the fused constructors. *)
+      List.iter
+        (fun load ->
+          let p = load (fresh_image ~hosts src) in
+          (match Verify.verify p with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "loaded program fails re-verify: %s" e);
+          ignore (Disasm.program p);
+          Array.iter
+            (fun op ->
+              if String.length (Opcode.to_string op) = 0 then
+                Alcotest.fail "empty disassembly";
+              Hashtbl.replace seen (Opcode.index op) ())
+            p.Program.code)
+        [ (fun i -> Stackvm.load_exn i); (fun i -> Stackvm.load_static_exn i) ];
+      let nargs =
+        match Stackvm.load_exn (fresh_image ~hosts src) with
+        | p -> (
+            match Program.find_func p "main" with
+            | Some f -> p.Program.funcs.(f).Program.nargs
+            | None -> Alcotest.fail "corpus program has no main")
+      in
+      List.iter
+        (fun n ->
+          let args = Array.init nargs (fun k -> n - (3 * k)) in
+          let run load run =
+            let image = fresh_image ~hosts src in
+            let r = run (load image) ~entry:"main" ~args ~fuel:100_000 in
+            (r, Array.copy (Memory.cells image.Link.mem))
+          in
+          check_tiers_agree
+            (Printf.sprintf "corpus arg %d" n)
+            (run (fun i -> Stackvm.load_exn i) Vm.run)
+            (run (fun i -> Jit.load_exn i) Jit.run))
+        [ -9; 0; 2; 5; 11 ])
+    opcode_corpus;
   let missing = ref [] in
-  for i = 67 downto 49 do
-    if not (Hashtbl.mem seen i) then
-      missing := Opcode.class_names.(i) :: !missing
+  for i = Opcode.index Opcode.Pop downto 0 do
+    if not (Hashtbl.mem seen i) then missing := Opcode.class_names.(i) :: !missing
   done;
   if !missing <> [] then
-    Alcotest.failf "fused constructors never emitted by the corpus: %s"
+    Alcotest.failf "opcode classes never emitted by the corpus: %s"
       (String.concat ", " !missing)
 
-(* ---------- bounded loading: certificates under the optimizer ---------- *)
+(* ---------- bounded loading ---------- *)
 
 let expect_reject_bounded p fragment =
   match Verify.verify ~bounded:true p with
@@ -773,108 +797,33 @@ let test_bounds_entry_discipline () =
     (bounds_entry_program ~outside_target:4)
     "enters a certified loop"
 
-(* Under bounded loading the optimizer must neither drop certificates
-   nor break their windows: load_opt fuses the loop body, remaps the
-   certificate to the fused backedge, and the bounded verifier
-   re-derives the bound from the fused code it ships. *)
-let test_bounded_opt_certified () =
+(* Under bounded loading the JIT's program keeps every certificate on a
+   backward jump, re-verifies as bounded code, and runs the same as the
+   bounded interpreter. *)
+let test_bounded_jit_certified () =
   let plain = Stackvm.load_exn ~bounded:true (fresh_image loopy_src) in
-  let opt = Stackvm.load_opt_exn ~bounded:true (fresh_image loopy_src) in
-  Alcotest.(check bool) "certificate survives fusion" true
-    (Array.length opt.Program.loop_bounds = Array.length plain.Program.loop_bounds
-    && Array.length opt.Program.loop_bounds > 0);
-  Alcotest.(check bool) "fusion still shortens certified code" true
-    (Array.length opt.Program.code < Array.length plain.Program.code);
-  (match Verify.verify ~bounded:true opt with
+  let jitted = Jit.program (Jit.load_exn ~bounded:true (fresh_image loopy_src)) in
+  Alcotest.(check bool) "certificates carried" true
+    (Array.length jitted.Program.loop_bounds = Array.length plain.Program.loop_bounds
+    && Array.length jitted.Program.loop_bounds > 0);
+  (match Verify.verify ~bounded:true jitted with
   | Ok () -> ()
-  | Error m -> Alcotest.failf "fused certified program fails re-verify: %s" m);
-  (* The remapped backedge still points at the backward jump. *)
+  | Error m -> Alcotest.failf "jit program fails bounded re-verify: %s" m);
   Array.iter
     (fun (pc, _) ->
-      match opt.Program.code.(pc) with
+      match jitted.Program.code.(pc) with
       | Opcode.Jmp t when t <= pc -> ()
       | op ->
           Alcotest.failf "certificate pc %d is %s, not a backward jmp" pc
             (Opcode.to_string op))
-    opt.Program.loop_bounds;
+    jitted.Program.loop_bounds;
   List.iter
     (fun n ->
-      let base = Vm.run plain ~entry:"main" ~args:[| n |] ~fuel:1_000_000 in
-      let fused = Vm.run_opt opt ~entry:"main" ~args:[| n |] ~fuel:1_000_000 in
-      if base <> fused then
-        Alcotest.failf "bounded tiers disagree on n=%d: %s vs %s" n
-          (show_tier base) (show_tier fused))
+      check_tiers_agree
+        (Printf.sprintf "bounded n=%d" n)
+        (run_interp ~bounded:true loopy_src ~args:[| n |] ~fuel:1_000_000)
+        (run_jit ~bounded:true loopy_src ~args:[| n |] ~fuel:1_000_000))
     [ 0; 3; -7 ]
-
-(* Graftjail's fuel-parity guarantee, session edition: sweep EVERY
-   fuel budget from 0 until past completion and require the optimized
-   tier to agree with the plain tier not just on the result but on the
-   entire memory image at the cut point. A fused superinstruction that
-   performed its stores before charging the full group's fuel would
-   pass the result check at most budgets but leave different memory
-   when the watchdog fires mid-group — exactly what this catches. *)
-let fuel_parity_corpus =
-  [
-    ("loopy", loopy_src, [ [| 3 |]; [| -7 |] ]);
-    ("faulty ok", faulty_src, [ [| 2 |] ]);
-    ("faulty oob", faulty_src, [ [| 9 |]; [| -3 |] ]);
-    ("faulty div", faulty_src, [ [| -100 |] ]);
-  ]
-
-let test_fuel_parity_sessions () =
-  let run_tier load runner src args fuel =
-    let image = fresh_image src in
-    let s = Vm.create_session (load image) in
-    let r = runner s ~entry:"main" ~args ~fuel in
-    (r, Array.copy (Memory.cells image.Link.mem))
-  in
-  List.iter
-    (fun (name, src, argsets) ->
-      List.iter
-        (fun args ->
-          (* Sweep until the plain tier reaches its terminal outcome
-             (anything but fuel exhaustion), then 3 budgets beyond. *)
-          let rec sweep fuel remaining =
-            if remaining = 0 then ()
-            else if fuel > 4000 then
-              Alcotest.failf "%s: no terminal outcome within 4000 fuel" name
-            else begin
-              let r1, m1 = run_tier Stackvm.load_exn Vm.run_session src args fuel in
-              let r2, m2 =
-                run_tier Stackvm.load_opt_exn Vm.run_session_opt src args fuel
-              in
-              if r1 <> r2 then
-                Alcotest.failf "%s args %d fuel %d: plain %s, opt %s" name
-                  args.(0) fuel (show_tier r1) (show_tier r2);
-              if m1 <> m2 then
-                Alcotest.failf
-                  "%s args %d fuel %d: tiers agree on %s but memory differs"
-                  name args.(0) fuel (show_tier r1);
-              let remaining =
-                match r1 with
-                | Error (`Fault Fault.Fuel_exhausted) -> remaining
-                | _ -> remaining - 1
-              in
-              sweep (fuel + 1) remaining
-            end
-          in
-          sweep 0 3)
-        argsets)
-    fuel_parity_corpus
-
-let prop_tiers_agree_any_fuel =
-  (* Random fuel budgets cut execution off mid-program, including in
-     the middle of fused groups; random arguments hit the bounds and
-     division faults. The two tiers must agree on everything: value,
-     fault identity, and whether fuel ran out first. *)
-  QCheck.Test.make ~name:"optimized tier = baseline at any fuel" ~count:300
-    QCheck.(pair (int_range 0 400) (int_range (-110) 110))
-    (fun (fuel, n) ->
-      let base, opt = run_both_tiers faulty_src ~args:[| n |] ~fuel in
-      if base <> opt then
-        QCheck.Test.fail_reportf "fuel %d n %d: base %s, opt %s" fuel n
-          (show_tier base) (show_tier opt);
-      true)
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
@@ -916,39 +865,33 @@ let () =
           Alcotest.test_case "bad global" `Quick test_verify_bad_global_address;
           Alcotest.test_case "bad array desc" `Quick test_verify_bad_array_descriptor;
           Alcotest.test_case "load rejects" `Quick test_load_rejects;
-        ] );
-      ( "verify-fused",
-        [
-          Alcotest.test_case "underflow" `Quick test_verify_fused_underflow;
-          Alcotest.test_case "div by constant zero" `Quick
-            test_verify_fused_div_by_constant_zero;
-          Alcotest.test_case "div unprovable" `Quick
-            test_verify_fused_div_unprovable;
-          Alcotest.test_case "bad array id" `Quick
-            test_verify_fused_bad_array_id;
-          Alcotest.test_case "bad local" `Quick test_verify_fused_bad_local;
-          Alcotest.test_case "jump outside fn" `Quick
-            test_verify_fused_jump_outside;
+          Alcotest.test_case "stack overflow" `Quick test_verify_stack_overflow;
+          Alcotest.test_case "bad extern target" `Quick test_verify_bad_extern_target;
+          Alcotest.test_case "bad code extent" `Quick test_verify_bad_code_extent;
+          Alcotest.test_case "bad frame shape" `Quick test_verify_bad_frame_shape;
+          Alcotest.test_case "extern tables" `Quick test_verify_extern_tables;
+          Alcotest.test_case "helper arity" `Quick test_verify_helper_arity;
+          Alcotest.test_case "bad map id" `Quick test_verify_bad_map_id;
+          Alcotest.test_case "bad proof manifest" `Quick test_verify_bad_proof_manifest;
         ] );
       ("disasm", [ Alcotest.test_case "renders" `Quick test_disasm ]);
       ( "differential",
         [ Alcotest.test_case "fixed programs" `Quick test_differential ]
         @ qc [ prop_differential_expr; prop_verifier_total_and_safe ] );
-      ( "opt-tier",
+      ( "jit-tier",
         [
-          Alcotest.test_case "peephole fuses" `Quick test_peephole_fuses;
-          Alcotest.test_case "fused forms disassemble and re-verify" `Quick
-            test_peephole_verifier_roundtrip;
-          Alcotest.test_case "tiers agree" `Quick test_tiers_differential;
+          Alcotest.test_case "opcode classes round-trip" `Quick
+            test_opcode_classes_roundtrip;
+          Alcotest.test_case "tiers agree" `Quick test_jit_tiers_differential;
           Alcotest.test_case "fuel parity at every budget" `Quick
-            test_fuel_parity_sessions;
+            test_jit_fuel_parity_sessions;
         ]
-        @ qc [ prop_tiers_agree_any_fuel ] );
+        @ qc [ prop_jit_agrees_any_fuel ] );
       ( "bounded",
         [
           Alcotest.test_case "initialiser entry discipline" `Quick
             test_bounds_entry_discipline;
-          Alcotest.test_case "certificates survive fusion" `Quick
-            test_bounded_opt_certified;
+          Alcotest.test_case "certificates survive the jit" `Quick
+            test_bounded_jit_certified;
         ] );
     ]

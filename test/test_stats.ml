@@ -120,42 +120,44 @@ let test_gate_verdicts () =
        ~cur_ns:60.0 ~cur_lo:59.0 ~cur_hi:61.0
     = Benchgate.Improvement)
 
-let synthetic_v3 =
-  {|{"schema_version":3,"host":"ci","ocaml":"5.1.0",
+let synthetic_v5 =
+  {|{"schema_version":5,"host":"ci","ocaml":"5.1.0",
+     "results":[{"graft":"md5_64k","interp_ns_per_op":1000.0,
+       "interp_ci95_lo":990.0,"interp_ci95_hi":1010.0,"interp_cv":0.01,
+       "jit_ns_per_op":400.0,"jit_ci95_lo":395.0,"jit_ci95_hi":405.0,
+       "jit_cv":0.01,"rounds":15,"jit_speedup":2.5}]}|}
+
+(* The last schema that carried the retired optimizing tier's columns. *)
+let synthetic_v4 =
+  {|{"schema_version":4,"host":"old","ocaml":"5.1.0",
      "results":[{"graft":"md5_64k","interp_ns_per_op":1000.0,
        "interp_ci95_lo":990.0,"interp_ci95_hi":1010.0,"interp_cv":0.01,
        "opt_ns_per_op":400.0,"opt_ci95_lo":395.0,"opt_ci95_hi":405.0,
-       "opt_cv":0.01,"rounds":15,"speedup":2.5}]}|}
-
-let synthetic_v2 =
-  {|{"schema_version":2,"host":"old","ocaml":"5.1.0",
-     "results":[{"graft":"md5_64k","interp_ns_per_op":1000.0,
-       "opt_ns_per_op":400.0,"speedup":2.5}]}|}
+       "opt_cv":0.01,"jit_ns_per_op":300.0,"jit_ci95_lo":295.0,
+       "jit_ci95_hi":305.0,"jit_cv":0.01,"rounds":15,"speedup":2.5,
+       "jit_speedup":3.33}]}|}
 
 let est median lo hi =
   let e = Robust.estimate [| median |] in
   { e with Robust.median; ci95_lo = lo; ci95_hi = hi }
 
-let row ?jit graft i o =
-  let jit = match jit with Some j -> j | None -> o in
-  { Benchgate.graft; interp = i; opt = o; jit; rounds = 15 }
+let row graft interp jit = { Benchgate.graft; interp; jit; rounds = 15 }
+
+let parse_ok text =
+  match Benchgate.parse_baseline text with
+  | Ok b -> b
+  | Error e -> Alcotest.fail (Benchgate.baseline_error_message e)
 
 let test_gate_on_parsed_baseline () =
-  let baseline =
-    match Benchgate.parse_baseline synthetic_v3 with
-    | Ok b -> b
-    | Error e -> Alcotest.fail e
-  in
+  let baseline = parse_ok synthetic_v5 in
   (* Unchanged numbers: both tiers pass. *)
   let ok =
     Benchgate.gate ~baseline
       [ row "md5_64k" (est 1005.0 992.0 1012.0) (est 402.0 396.0 406.0) ]
   in
   check_bool "unchanged passes" false (Benchgate.failed ok);
-  (* v3 rows carry no jit columns, so only interp/opt are gated. *)
-  Alcotest.(check int) "two checks" 2 (List.length ok);
-  check_bool "v3 baseline has no jit column" true
-    ((List.hd baseline).Benchgate.b_jit = None);
+  Alcotest.(check (list string)) "interp and jit are gated" [ "interp"; "jit" ]
+    (List.map (fun c -> c.Benchgate.c_tier) ok);
   (* Doctored: interp CI-disjoint and 50% over. *)
   let bad =
     Benchgate.gate ~baseline
@@ -169,44 +171,25 @@ let test_gate_on_parsed_baseline () =
   in
   Alcotest.(check int) "unknown skipped" 0 (List.length skipped)
 
-let test_v2_baseline_degenerate () =
-  let baseline =
-    match Benchgate.parse_baseline synthetic_v2 with
-    | Ok b -> b
-    | Error e -> Alcotest.fail e
-  in
-  let b = List.hd baseline in
-  check_float "degenerate lo" 1000.0 b.Benchgate.b_interp.Benchgate.b_lo;
-  check_float "degenerate hi" 1000.0 b.Benchgate.b_interp.Benchgate.b_hi;
-  (* Against a point baseline the rule reduces to median comparison. *)
-  let bad =
-    Benchgate.gate ~baseline
-      [ row "md5_64k" (est 1500.0 1480.0 1520.0) (est 402.0 396.0 406.0) ]
-  in
-  check_bool "v2 gate still gates" true (Benchgate.failed bad)
+let test_v4_baseline_rejected () =
+  match Benchgate.parse_baseline synthetic_v4 with
+  | Error (Benchgate.Schema 4) -> ()
+  | Error e ->
+      Alcotest.failf "wrong error: %s" (Benchgate.baseline_error_message e)
+  | Ok _ -> Alcotest.fail "a v4 baseline parsed"
 
 let test_roundtrip_json () =
   let rows =
-    [
-      row "md5_64k"
-        ~jit:(est 200.0 198.0 202.0)
-        (est 1000.0 990.0 1010.0)
-        (est 400.0 395.0 405.0);
-    ]
+    [ row "md5_64k" (est 1000.0 990.0 1010.0) (est 200.0 198.0 202.0) ]
   in
-  match Benchgate.parse_baseline (Benchgate.to_json rows) with
-  | Error e -> Alcotest.fail e
-  | Ok [ b ] -> (
+  match parse_ok (Benchgate.to_json rows) with
+  | [ b ] ->
       check_float "roundtrip ns" 1000.0 b.Benchgate.b_interp.Benchgate.b_ns;
       check_float "roundtrip lo" 990.0 b.Benchgate.b_interp.Benchgate.b_lo;
-      (* v4 rows round-trip the jit column, and the gate uses it. *)
-      match b.Benchgate.b_jit with
-      | None -> Alcotest.fail "v4 roundtrip lost the jit column"
-      | Some j ->
-          check_float "roundtrip jit ns" 200.0 j.Benchgate.b_ns;
-          let checks = Benchgate.gate ~baseline:[ b ] rows in
-          Alcotest.(check int) "three checks with jit" 3 (List.length checks))
-  | Ok _ -> Alcotest.fail "expected one row"
+      check_float "roundtrip jit ns" 200.0 b.Benchgate.b_jit.Benchgate.b_ns;
+      check_bool "roundtrip gates clean" false
+        (Benchgate.failed (Benchgate.gate ~baseline:[ b ] rows))
+  | _ -> Alcotest.fail "expected one row"
 
 (* ---------- minijson ---------- *)
 
@@ -253,7 +236,7 @@ let () =
           Alcotest.test_case "verdict rule" `Quick test_gate_verdicts;
           Alcotest.test_case "parsed baseline" `Quick
             test_gate_on_parsed_baseline;
-          Alcotest.test_case "v2 degenerate" `Quick test_v2_baseline_degenerate;
+          Alcotest.test_case "v4 rejected" `Quick test_v4_baseline_rejected;
           Alcotest.test_case "json roundtrip" `Quick test_roundtrip_json;
           Alcotest.test_case "minijson" `Quick test_minijson;
         ] );

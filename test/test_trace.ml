@@ -392,24 +392,26 @@ let fuel = 1_000_000
 
 let test_opprof_tier_parity () =
   let args = [| 9; 4 |] in
-  let run_stack ~opt =
+  let run_stack ~jit =
     let pr = Opprof.create ~names:Graft_stackvm.Opcode.class_names in
     let image = make_image () in
-    let load =
-      if opt then Graft_stackvm.Stackvm.load_opt_exn
-      else Graft_stackvm.Stackvm.load_exn
+    let r =
+      if jit then
+        Graft_jit.Jit.run_session
+          (Graft_jit.Jit.create_session ~profile:pr (Graft_jit.Jit.load_exn image))
+          ~entry:"main" ~args ~fuel
+      else
+        Graft_stackvm.Vm.run_session
+          (Graft_stackvm.Vm.create_session ~profile:pr
+             (Graft_stackvm.Stackvm.load_exn image))
+          ~entry:"main" ~args ~fuel
     in
-    let s = Graft_stackvm.Vm.create_session ~profile:pr (load image) in
-    let run =
-      if opt then Graft_stackvm.Vm.run_session_opt
-      else Graft_stackvm.Vm.run_session
-    in
-    match run s ~entry:"main" ~args ~fuel with
+    match r with
     | Ok v -> (v, pr)
     | Error _ -> Alcotest.fail "stack tier faulted"
   in
-  let v_i, pr_i = run_stack ~opt:false in
-  let v_o, pr_o = run_stack ~opt:true in
+  let v_i, pr_i = run_stack ~jit:false in
+  let v_j, pr_j = run_stack ~jit:true in
   let v_r, pr_r =
     let pr = Opprof.create ~names:Graft_regvm.Isa.class_names in
     let prog =
@@ -421,16 +423,16 @@ let test_opprof_tier_parity () =
     | Ok o -> (o.Graft_regvm.Machine.value, pr)
     | Error _ -> Alcotest.fail "regvm faulted"
   in
-  check_int "interp/opt values agree" v_i v_o;
+  check_int "interp/jit values agree" v_i v_j;
   check_int "stack/reg values agree" v_i v_r;
-  (* Fuel parity: the optimized tier executes fewer (fused) opcodes but
-     must charge exactly the plain tier's fuel. *)
+  (* Fuel parity: a profiled JIT session counts every opcode the
+     interpreter executes and charges exactly its fuel. *)
   check_int "fuel parity across stack tiers" (Opprof.total_fuel pr_i)
-    (Opprof.total_fuel pr_o);
-  check_int "plain tier: 1 fuel per opcode" (Opprof.total_count pr_i)
+    (Opprof.total_fuel pr_j);
+  check_int "opcode parity across stack tiers" (Opprof.total_count pr_i)
+    (Opprof.total_count pr_j);
+  check_int "interpreter: 1 fuel per opcode" (Opprof.total_count pr_i)
     (Opprof.total_fuel pr_i);
-  check_bool "fused tier executes fewer opcodes" true
-    (Opprof.total_count pr_o < Opprof.total_count pr_i);
   check_int "regvm: 1 fuel per instruction" (Opprof.total_count pr_r)
     (Opprof.total_fuel pr_r);
   (* The hot-opcode report accounts for every executed instruction. *)

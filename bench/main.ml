@@ -16,9 +16,9 @@
      dune exec bench/main.exe -- micro         bechamel micro-suite only
      dune exec bench/main.exe -- table2 ...    specific tables (quick)
      dune exec bench/main.exe -- full table5   specific tables (full)
-     dune exec bench/main.exe -- stackvm-json  interpreter-vs-JIT tier
-                                               comparison to
-                                               BENCH_stackvm.json
+
+   The interpreter-vs-JIT tier comparison and its BENCH_stackvm.json
+   baseline are `graftkit bench [--save-baseline FILE]`.
 *)
 
 open Bechamel
@@ -138,28 +138,6 @@ let run_micro () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Bytecode tier comparison (machine-readable).                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Interpreter vs JIT bytecode tiers over each graft's core op, written
-   as v5 JSON (medians with bootstrap CIs) so CI and plots can track
-   the speedup. The suite, the harness, and the schema live in
-   Graft_report.Benchgate — the same code `graftkit bench` runs. *)
-let stackvm_json ?(path = "BENCH_stackvm.json") () =
-  let rows = Graft_report.Benchgate.run_suite () in
-  List.iter
-    (fun (r : Graft_report.Benchgate.row) ->
-      let open Graft_stats.Robust in
-      Printf.printf "%-20s interp %10.1f ns/op   jit %10.1f ns/op   jit %.2fx\n%!"
-        r.Graft_report.Benchgate.graft r.Graft_report.Benchgate.interp.median
-        r.Graft_report.Benchgate.jit.median
-        (r.Graft_report.Benchgate.interp.median
-        /. r.Graft_report.Benchgate.jit.median))
-    rows;
-  Graft_report.Benchgate.save ~path rows;
-  Printf.printf "wrote %s\n" path
-
-(* ------------------------------------------------------------------ *)
 (* Experiment tables.                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -196,7 +174,6 @@ let () =
   let tables = known_tables scale in
   match args with
   | [ "micro" ] -> run_micro ()
-  | [ "stackvm-json" ] -> stackvm_json ()
   | [] ->
       run_micro ();
       List.iter

@@ -811,6 +811,73 @@ let jit_cmd =
              closure-threaded code")
     [ jit_dump_cmd ]
 
+(* ---------- the regression gate, shared by bench and serve ---------- *)
+
+type gate_opts = {
+  baseline : string option;
+  check : bool;
+  save : string option;
+  threshold : float option;
+}
+
+let gate_opts ~threshold_doc =
+  let baseline =
+    Arg.(value & opt (some file) None
+         & info [ "baseline" ] ~docv:"FILE"
+             ~doc:"Baseline (as written by --save-baseline) to gate against.")
+  in
+  let check =
+    Arg.(value & flag
+         & info [ "check" ]
+             ~doc:"Exit nonzero if any gated row regressed vs the baseline.")
+  in
+  let save =
+    Arg.(value & opt (some string) None
+         & info [ "save-baseline" ] ~docv:"FILE"
+             ~doc:"Write the fresh rows as a baseline to $(docv).")
+  in
+  let threshold =
+    Arg.(value & opt (some float) None
+         & info [ "threshold" ] ~docv:"FRAC" ~doc:threshold_doc)
+  in
+  Term.(
+    const (fun baseline check save threshold ->
+        { baseline; check; save; threshold })
+    $ baseline $ check $ save $ threshold)
+
+(* Save and/or gate one snapshot. [threshold] is the producing suite's
+   per-metric tolerance; --threshold replaces it for every row. *)
+let run_gate ~cmd ~threshold opts snap =
+  (match opts.save with
+  | Some path ->
+      Graft_report.Rowgate.save ~path snap;
+      Printf.printf "baseline written to %s\n" path
+  | None -> ());
+  match opts.baseline with
+  | None ->
+      if opts.check then begin
+        prerr_endline (cmd ^ ": --check requires --baseline FILE");
+        exit 2
+      end
+  | Some path -> (
+      let threshold =
+        match opts.threshold with Some t -> fun _ -> t | None -> threshold
+      in
+      match
+        Result.bind (Graft_report.Rowgate.load path) (fun baseline ->
+            Graft_report.Rowgate.gate ~threshold ~baseline snap)
+      with
+      | Error e ->
+          prerr_endline (cmd ^ ": " ^ Graft_report.Rowgate.error_message e);
+          exit 2
+      | Ok checks ->
+          print_string (Graft_report.Rowgate.render checks);
+          if Graft_report.Rowgate.failed checks then begin
+            prerr_endline (cmd ^ ": REGRESSION detected");
+            if opts.check then exit 1
+          end
+          else print_endline (cmd ^ ": no regressions"))
+
 (* ---------- bench ---------- *)
 
 let bench_cmd =
@@ -818,29 +885,13 @@ let bench_cmd =
     Arg.(value & opt scale_conv Graft_report.Experiments.Quick
          & info [ "s"; "scale" ] ~doc:"Harness scale: quick or full.")
   in
-  let baseline =
-    Arg.(value & opt (some file) None
-         & info [ "baseline" ] ~docv:"FILE"
-             ~doc:"Baseline JSON (schema v5) to compare against.")
+  let gate =
+    gate_opts
+      ~threshold_doc:
+        "Override the per-graft regression thresholds (fractional: 0.3 = \
+         30%)."
   in
-  let check =
-    Arg.(value & flag
-         & info [ "check" ]
-             ~doc:"Exit nonzero if any graft regressed vs the baseline \
-                   (CI-disjoint AND median moved beyond the threshold).")
-  in
-  let save =
-    Arg.(value & opt (some string) None
-         & info [ "save-baseline" ] ~docv:"FILE"
-             ~doc:"Write the fresh results as a v5 baseline to $(docv).")
-  in
-  let threshold =
-    Arg.(value & opt (some float) None
-         & info [ "threshold" ] ~docv:"FRAC"
-             ~doc:"Override the per-graft regression thresholds (fractional: \
-                   0.3 = 30%).")
-  in
-  let run scale baseline check save threshold =
+  let run scale gate =
     let config =
       match scale with
       | Graft_report.Experiments.Quick -> Graft_stats.Harness.quick
@@ -872,35 +923,8 @@ let bench_cmd =
           |])
       rows;
     Graft_util.Tablefmt.print t;
-    (match save with
-    | Some path ->
-        Graft_report.Benchgate.save ~path rows;
-        Printf.printf "baseline written to %s\n" path
-    | None -> ());
-    match baseline with
-    | None ->
-        if check then begin
-          prerr_endline "bench: --check requires --baseline FILE";
-          exit 2
-        end
-    | Some path -> (
-        match Graft_report.Benchgate.load_baseline path with
-        | Error e ->
-            prerr_endline
-              ("bench: " ^ Graft_report.Benchgate.baseline_error_message e);
-            exit 2
-        | Ok base ->
-            let checks =
-              Graft_report.Benchgate.gate ?threshold ~baseline:base rows
-            in
-            List.iter
-              (fun c -> print_endline (Graft_report.Benchgate.pp_check c))
-              checks;
-            if Graft_report.Benchgate.failed checks then begin
-              prerr_endline "bench: REGRESSION detected";
-              if check then exit 1
-            end
-            else print_endline "bench: no regressions")
+    run_gate ~cmd:"bench" ~threshold:Graft_report.Benchgate.threshold gate
+      (Graft_report.Benchgate.snapshot rows)
   in
   Cmd.v
     (Cmd.info "bench"
@@ -908,7 +932,7 @@ let bench_cmd =
              harness and optionally gate against a saved baseline \
              (noise-aware: a regression requires disjoint 95% CIs and a \
              median move beyond the per-graft threshold)")
-    Term.(const run $ scale $ baseline $ check $ save $ threshold)
+    Term.(const run $ scale $ gate)
 
 (* ---------- metrics ---------- *)
 
@@ -1067,30 +1091,15 @@ let serve_cmd =
          & info [ "openmetrics" ] ~docv:"FILE"
              ~doc:"Write the final OpenMetrics exposition to $(docv).")
   in
-  let baseline =
-    Arg.(value & opt (some file) None
-         & info [ "baseline" ] ~docv:"FILE"
-             ~doc:"BENCH_serve.json baseline to compare against.")
-  in
-  let check =
-    Arg.(value & flag
-         & info [ "check" ]
-             ~doc:"Exit nonzero if any gated metric regressed vs the \
-                   baseline.")
-  in
-  let save =
-    Arg.(value & opt (some string) None
-         & info [ "save-baseline" ] ~docv:"FILE"
-             ~doc:"Write the fresh results as a serve baseline to $(docv).")
-  in
-  let threshold =
-    Arg.(value & opt (some float) None
-         & info [ "threshold" ] ~docv:"FRAC"
-             ~doc:"Override the 0.10 default regression threshold.")
+  let gate =
+    gate_opts
+      ~threshold_doc:
+        "Override the regression threshold: 0.10 for the SLO metrics, 0.30 \
+         for --throughput rows."
   in
   let run smoke tenants duration rate seed window snapshot_every faults
       domains throughput domain_counts reps lens lens_thr flight_dir
-      json snapshots_out openmetrics_out baseline check save threshold =
+      json snapshots_out openmetrics_out gate =
     let base = if smoke then Graft_slo.Serve.smoke else Graft_slo.Serve.default in
     let cfg =
       Graft_slo.Serve.
@@ -1109,48 +1118,25 @@ let serve_cmd =
           lens_threshold_us = Option.value ~default:0 lens_thr;
         }
     in
+    let valid =
+      if throughput then
+        Graft_slo.Throughput.validate ~reps ~domain_counts cfg
+      else Graft_slo.Serve.validate cfg
+    in
+    (match valid with
+    | Ok () -> ()
+    | Error msg ->
+        prerr_endline ("serve: " ^ msg);
+        exit 2);
     if throughput then begin
-      (* Scaling mode: ops per wall-second vs domain count; --baseline /
-         --save-baseline refer to BENCH_throughput.json here. *)
+      (* Scaling mode: ops per wall-second vs domain count. *)
       let report =
         Graft_slo.Throughput.run ~reps ~domain_counts:domain_counts cfg
       in
       if json then print_string (Graft_slo.Throughput.to_json report ^ "\n")
       else print_string (Graft_slo.Throughput.render report);
-      (match save with
-      | Some path ->
-          Graft_slo.Throughput.save ~path report;
-          Printf.printf "throughput baseline written to %s\n" path
-      | None -> ());
-      (match baseline with
-      | None ->
-          if check then begin
-            prerr_endline "serve: --check requires --baseline FILE";
-            exit 2
-          end
-      | Some path -> (
-          match Graft_slo.Throughput.load_baseline path with
-          | Error msg ->
-              prerr_endline ("serve: " ^ msg);
-              exit 2
-          | Ok b -> (
-              match
-                Graft_slo.Throughput.gate ?threshold ~baseline:b report
-              with
-              | Error msg ->
-                  prerr_endline ("serve: " ^ msg);
-                  exit 2
-              | Ok checks ->
-                  List.iter
-                    (fun c ->
-                      print_endline (Graft_slo.Throughput.pp_check c))
-                    checks;
-                  if Graft_slo.Throughput.passed checks then
-                    print_endline "serve: no throughput regressions"
-                  else begin
-                    prerr_endline "serve: throughput REGRESSION detected";
-                    if check then exit 1
-                  end)));
+      run_gate ~cmd:"serve" ~threshold:Graft_slo.Throughput.gate_threshold gate
+        (Graft_slo.Throughput.gate_snapshot report);
       exit 0
     end;
     let r = Graft_slo.Serve.run cfg in
@@ -1178,35 +1164,8 @@ let serve_cmd =
         Out_channel.with_open_text path (fun oc ->
             Out_channel.output_string oc (Graft_metrics.to_openmetrics ()))
     | None -> ());
-    (match save with
-    | Some path ->
-        Graft_slo.Servegate.save ~path r;
-        Printf.printf "serve baseline written to %s\n" path
-    | None -> ());
-    match baseline with
-    | None ->
-        if check then begin
-          prerr_endline "serve: --check requires --baseline FILE";
-          exit 2
-        end
-    | Some path -> (
-        match Graft_slo.Servegate.load_baseline path with
-        | Error msg ->
-            prerr_endline ("serve: " ^ msg);
-            exit 2
-        | Ok base -> (
-            match Graft_slo.Servegate.gate ?threshold ~baseline:base r with
-            | Error msg ->
-                prerr_endline ("serve: " ^ msg);
-                exit 2
-            | Ok checks ->
-                print_string (Graft_slo.Servegate.render_checks checks);
-                if Graft_slo.Servegate.passed checks then
-                  print_endline "serve: no regressions"
-                else begin
-                  prerr_endline "serve: REGRESSION detected";
-                  if check then exit 1
-                end))
+    run_gate ~cmd:"serve" ~threshold:Graft_slo.Serve.gate_threshold gate
+      (Graft_slo.Serve.gate_snapshot r)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1220,7 +1179,7 @@ let serve_cmd =
       const run $ smoke $ tenants $ duration $ rate $ seed $ window
       $ snapshot_every $ faults $ domains $ throughput $ domain_counts
       $ reps $ lens $ lens_threshold $ flight_dir $ json $ snapshots_out
-      $ openmetrics_out $ baseline $ check $ save $ threshold)
+      $ openmetrics_out $ gate)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in

@@ -763,11 +763,30 @@ let merge_snapshots cfg shards =
         s_trace_dropped = sum (fun sp -> sp.sp_dropped);
       })
 
+(** The config's range rules, checked before any work: [Error] names
+    the first field out of range. The comparisons are written so that
+    NaN fails them. *)
+let validate cfg =
+  let sp = Printf.sprintf in
+  [
+    (cfg.tenants >= 1, sp "tenants must be at least 1, got %d" cfg.tenants);
+    (cfg.domains >= 1, sp "domains must be at least 1, got %d" cfg.domains);
+    ( cfg.domains <= cfg.tenants,
+      sp "domains must not exceed tenants, got %d domains for %d tenants"
+        cfg.domains cfg.tenants );
+    (cfg.base_rate > 0.0, sp "rate must be positive, got %g" cfg.base_rate);
+    (cfg.window_s > 0.0, sp "window must be positive, got %g" cfg.window_s);
+    ( cfg.snapshot_every_s > 0.0,
+      sp "snapshot-every must be positive, got %g" cfg.snapshot_every_s );
+    (cfg.narms >= 0, sp "faults must not be negative, got %d" cfg.narms);
+  ]
+  |> List.find_opt (fun (ok, _) -> not ok)
+  |> Option.fold ~none:(Ok ()) ~some:(fun (_, msg) -> Error msg)
+
 let run cfg =
-  if cfg.tenants < 1 then invalid_arg "Serve.run: tenants < 1";
-  if cfg.domains < 1 then invalid_arg "Serve.run: domains < 1";
-  if cfg.domains > cfg.tenants then
-    invalid_arg "Serve.run: more domains than tenants";
+  (match validate cfg with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Serve.run: " ^ msg));
   let wall0 = Unix.gettimeofday () in
   Graft_metrics.enable ();
   (* Joined worker domains from a previous run must not leak counts
@@ -1141,3 +1160,43 @@ let render r =
       r.r_fired
   end;
   Buffer.contents buf
+
+(* ------------------------------------------------------------------ *)
+(* Gate rows.                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(** What makes two serve runs the same experiment, for
+    {!Graft_report.Rowgate}. *)
+let gate_config cfg =
+  [
+    ("seed", float_of_int cfg.seed); ("tenants", float_of_int cfg.tenants);
+    ("duration_s", cfg.duration_s);
+  ]
+
+(** Every number here is a pure function of (seed, config): any drift
+    means the code changed behaviour, so the tolerance is tight. *)
+let gate_threshold (_ : string) = 0.10
+
+(** The gated metrics of a run. Throughput and fairness must not fall;
+    latency tails, burn, MTTR and the error rate must not grow.
+    Wall-clock time is deliberately not here. *)
+let gate_snapshot r =
+  let row metric value higher_better =
+    { Graft_report.Rowgate.metric; value; ci95 = None; higher_better }
+  in
+  {
+    Graft_report.Rowgate.suite = "serve";
+    config = gate_config r.r_config;
+    rows =
+      [
+        row "throughput_ops_per_s" r.r_throughput true;
+        row "p50_us" (float_of_int r.r_p50_us) false;
+        row "p95_us" (float_of_int r.r_p95_us) false;
+        row "p99_us" (float_of_int r.r_p99_us) false;
+        row "p999_us" (float_of_int r.r_p999_us) false;
+        row "jain" r.r_jain true;
+        row "burn" r.r_burn false;
+        row "mttr_mean_s" r.r_mttr.Mttr.m_mean_s false;
+        row "error_rate" r.r_bad_frac false;
+      ];
+  }

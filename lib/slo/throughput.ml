@@ -11,13 +11,12 @@
     test_swarm), so every row of this table recomputes the {e same}
     report; only the wall-clock differs.
 
-    Scaling is bounded by the cores actually available: the artifact
-    records [Domain.recommended_domain_count ()] so a reader (or the
-    CI gate) can tell a scheduler problem from a one-core container.
-    The regression gate mirrors Benchgate's noise-aware rule with the
-    sign flipped — throughput is higher-better: a row regresses only
-    when its CI is disjoint below the baseline's AND the median fell
-    beyond the threshold. *)
+    Scaling is bounded by the cores actually available: the [--json]
+    report records [Domain.recommended_domain_count ()] so a reader can
+    tell a scheduler problem from a one-core container.
+    {!gate_snapshot} hands each domain count to
+    {!Graft_report.Rowgate} as a higher-better [ops_per_s.d<N>] row
+    with its CI. *)
 
 type row = {
   tp_domains : int;
@@ -32,12 +31,27 @@ type report = {
   tr_rows : row list;  (** ascending domain count *)
 }
 
+(** The sweep's range rules: [Error] names the first value out of
+    range, including any domain count {!Serve.validate} refuses. *)
+let validate ~reps ~domain_counts cfg =
+  if reps < 1 then Error (Printf.sprintf "reps must be at least 1, got %d" reps)
+  else if domain_counts = [] then Error "no domain counts"
+  else
+    List.fold_left
+      (fun acc d ->
+        Result.bind acc (fun () ->
+            Result.map_error
+              (fun m -> Printf.sprintf "domain count %d: %s" d m)
+              (Serve.validate { cfg with Serve.domains = d })))
+      (Ok ()) domain_counts
+
 (** Run the serve workload [reps] times at each domain count and
     estimate ops per wall-second of the parallel section. Raises
-    [Invalid_argument] on an empty count list or [reps < 1]. *)
+    [Invalid_argument] when {!validate} refuses the sweep. *)
 let run ?(reps = 5) ~domain_counts cfg =
-  if domain_counts = [] then invalid_arg "Throughput.run: no domain counts";
-  if reps < 1 then invalid_arg "Throughput.run: reps < 1";
+  (match validate ~reps ~domain_counts cfg with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Throughput.run: " ^ msg));
   let counts = List.sort_uniq compare domain_counts in
   let rows =
     List.map
@@ -69,7 +83,7 @@ let speedup report row =
   | _ -> 1.0
 
 (* ------------------------------------------------------------------ *)
-(* The BENCH_throughput.json artifact.                                 *)
+(* The --json report and the gate rows.                                *)
 (* ------------------------------------------------------------------ *)
 
 let schema_version = 1
@@ -93,137 +107,27 @@ let to_json report =
        cfg.Serve.base_rate report.tr_reps report.tr_cores
        (String.concat "," (List.map (row_json report) report.tr_rows)))
 
-let save ~path report =
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (to_json report);
-      Out_channel.output_string oc "\n")
+(** Wall-clock ops/s moves with the machine, so only a large drop with
+    disjoint CIs counts. *)
+let gate_threshold (_ : string) = 0.30
 
-(* ------------------------------------------------------------------ *)
-(* Baseline parsing and the higher-better gate.                        *)
-(* ------------------------------------------------------------------ *)
-
-type baseline_row = { b_domains : int; b_ops_per_s : float; b_lo : float;
-                      b_hi : float }
-
-type baseline = {
-  bl_seed : int;
-  bl_tenants : int;
-  bl_duration_s : float;
-  bl_rows : baseline_row list;
-}
-
-let parse_baseline text =
-  let open Graft_util.Minijson in
-  match parse text with
-  | Error msg -> Error ("throughput baseline: " ^ msg)
-  | Ok doc -> (
-      let num key obj = Option.bind (member key obj) to_float in
-      match (num "seed" doc, num "tenants" doc, num "duration_s" doc,
-             Option.bind (member "rows" doc) to_list)
-      with
-      | Some seed, Some tenants, Some dur, Some rows ->
-          let rec go acc = function
-            | [] -> Ok (List.rev acc)
-            | obj :: rest -> (
-                match
-                  (num "domains" obj, num "ops_per_s" obj, num "ci95_lo" obj,
-                   num "ci95_hi" obj)
-                with
-                | Some d, Some v, Some lo, Some hi ->
-                    go
-                      ({ b_domains = int_of_float d; b_ops_per_s = v;
-                         b_lo = lo; b_hi = hi }
-                      :: acc)
-                      rest
-                | _ -> Error "throughput baseline: malformed row")
-          in
-          Result.map
-            (fun rows ->
-              {
-                bl_seed = int_of_float seed;
-                bl_tenants = int_of_float tenants;
-                bl_duration_s = dur;
-                bl_rows = rows;
-              })
-            (go [] rows)
-      | _ -> Error "throughput baseline: missing seed/tenants/duration_s/rows")
-
-let load_baseline path =
-  match
-    In_channel.with_open_bin path In_channel.input_all
-  with
-  | text -> parse_baseline text
-  | exception Sys_error msg -> Error msg
-
-type check = {
-  c_domains : int;
-  c_base : float;
-  c_cur : float;
-  c_verdict : Graft_report.Benchgate.verdict;
-}
-
-(** Compare a fresh report to a baseline. Wall-clock throughput is
-    higher-better, so Benchgate's noise-aware rule runs mirrored: a
-    row regresses only when the fresh CI sits wholly {e below} the
-    baseline CI and the median fell more than [threshold]. Domain
-    counts present on only one side are skipped. Errors when the
-    baseline was recorded for a different workload. *)
-let gate ?(threshold = 0.30) ~baseline report =
-  let cfg = report.tr_config in
-  if
-    baseline.bl_seed <> cfg.Serve.seed
-    || baseline.bl_tenants <> cfg.Serve.tenants
-    || baseline.bl_duration_s <> cfg.Serve.duration_s
-  then
-    Error
-      (Printf.sprintf
-         "baseline is for seed %d / %d tenants / %.2fs, run was seed %d / %d \
-          tenants / %.2fs"
-         baseline.bl_seed baseline.bl_tenants baseline.bl_duration_s
-         cfg.Serve.seed cfg.Serve.tenants cfg.Serve.duration_s)
-  else
-    Ok
-      (List.filter_map
-         (fun r ->
-           List.find_opt (fun b -> b.b_domains = r.tp_domains)
-             baseline.bl_rows
-           |> Option.map (fun b ->
-                  let open Graft_stats.Robust in
-                  let cur = r.tp_est.median in
-                  let verdict =
-                    (* Mirror of Benchgate.compare_ci for a
-                       higher-better metric. *)
-                    if
-                      r.tp_est.ci95_hi < b.b_lo
-                      && cur < b.b_ops_per_s *. (1.0 -. threshold)
-                    then Graft_report.Benchgate.Regression
-                    else if
-                      r.tp_est.ci95_lo > b.b_hi
-                      && cur > b.b_ops_per_s *. (1.0 +. threshold)
-                    then Graft_report.Benchgate.Improvement
-                    else Graft_report.Benchgate.Pass
-                  in
-                  {
-                    c_domains = r.tp_domains;
-                    c_base = b.b_ops_per_s;
-                    c_cur = cur;
-                    c_verdict = verdict;
-                  }))
-         report.tr_rows)
-
-let passed checks =
-  not
-    (List.exists
-       (fun c -> c.c_verdict = Graft_report.Benchgate.Regression)
-       checks)
-
-let pp_check c =
-  Printf.sprintf
-    "domains %-2d  base %10.1f ops/s   now %10.1f ops/s   %+6.1f%%  %s"
-    c.c_domains c.c_base c.c_cur
-    (if c.c_base = 0.0 then 0.0
-     else (c.c_cur -. c.c_base) /. c.c_base *. 100.0)
-    (Graft_report.Benchgate.verdict_name c.c_verdict)
+let gate_snapshot report =
+  {
+    Graft_report.Rowgate.suite = "serve-throughput";
+    config = Serve.gate_config report.tr_config;
+    rows =
+      List.map
+        (fun r ->
+          let open Graft_stats.Robust in
+          {
+            Graft_report.Rowgate.metric =
+              Printf.sprintf "ops_per_s.d%d" r.tp_domains;
+            value = r.tp_est.median;
+            ci95 = Some (r.tp_est.ci95_lo, r.tp_est.ci95_hi);
+            higher_better = true;
+          })
+        report.tr_rows;
+  }
 
 let render report =
   let buf = Buffer.create 512 in

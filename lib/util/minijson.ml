@@ -16,7 +16,12 @@ type t =
 
 exception Fail of string
 
-type state = { src : string; mutable pos : int }
+type state = { src : string; mutable pos : int; mutable depth : int }
+
+(* Nesting bound: deeper documents are refused with an error instead of
+   recursing until the stack runs out. The toolkit's own output nests
+   three levels. *)
+let max_depth = 512
 
 let error st msg = raise (Fail (Printf.sprintf "%s at byte %d" msg st.pos))
 
@@ -117,66 +122,77 @@ let parse_number st =
   | Some f -> Num f
   | None -> error st (Printf.sprintf "bad number %S" text)
 
+let nested st f =
+  if st.depth >= max_depth then error st "nesting too deep";
+  st.depth <- st.depth + 1;
+  let v = f () in
+  st.depth <- st.depth - 1;
+  v
+
 let rec parse_value st =
   skip_ws st;
   match peek st with
   | None -> error st "unexpected end of input"
   | Some '"' -> Str (parse_string st)
-  | Some '{' ->
-      advance st;
-      skip_ws st;
-      if peek st = Some '}' then begin
-        advance st;
-        Obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws st;
-          let key = parse_string st in
-          skip_ws st;
-          expect st ':';
-          let v = parse_value st in
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              members ((key, v) :: acc)
-          | Some '}' ->
-              advance st;
-              List.rev ((key, v) :: acc)
-          | _ -> error st "expected ',' or '}'"
-        in
-        Obj (members [])
-      end
-  | Some '[' ->
-      advance st;
-      skip_ws st;
-      if peek st = Some ']' then begin
-        advance st;
-        List []
-      end
-      else begin
-        let rec elems acc =
-          let v = parse_value st in
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              elems (v :: acc)
-          | Some ']' ->
-              advance st;
-              List.rev (v :: acc)
-          | _ -> error st "expected ',' or ']'"
-        in
-        List (elems [])
-      end
+  | Some '{' -> nested st (fun () -> parse_object st)
+  | Some '[' -> nested st (fun () -> parse_array st)
   | Some 't' -> literal st "true" (Bool true)
   | Some 'f' -> literal st "false" (Bool false)
   | Some 'n' -> literal st "null" Null
   | Some _ -> parse_number st
 
+and parse_object st =
+  advance st;
+  skip_ws st;
+  if peek st = Some '}' then begin
+    advance st;
+    Obj []
+  end
+  else begin
+    let rec members acc =
+      skip_ws st;
+      let key = parse_string st in
+      skip_ws st;
+      expect st ':';
+      let v = parse_value st in
+      skip_ws st;
+      match peek st with
+      | Some ',' ->
+          advance st;
+          members ((key, v) :: acc)
+      | Some '}' ->
+          advance st;
+          List.rev ((key, v) :: acc)
+      | _ -> error st "expected ',' or '}'"
+    in
+    Obj (members [])
+  end
+
+and parse_array st =
+  advance st;
+  skip_ws st;
+  if peek st = Some ']' then begin
+    advance st;
+    List []
+  end
+  else begin
+    let rec elems acc =
+      let v = parse_value st in
+      skip_ws st;
+      match peek st with
+      | Some ',' ->
+          advance st;
+          elems (v :: acc)
+      | Some ']' ->
+          advance st;
+          List.rev (v :: acc)
+      | _ -> error st "expected ',' or ']'"
+    in
+    List (elems [])
+  end
+
 let parse src =
-  let st = { src; pos = 0 } in
+  let st = { src; pos = 0; depth = 0 } in
   try
     let v = parse_value st in
     skip_ws st;

@@ -1,8 +1,8 @@
 (* Tests for graft_slo: window merge algebra, percentile ordering on
    the log-linear histograms, burn-rate monotonicity, fairness index
    bounds, the MTTR state machine against hand-built fault timelines,
-   the serve harness's determinism, and the serve gate's verdict
-   logic. *)
+   and the serve harness's determinism. The serve gate's cases live in
+   test_rowgate. *)
 
 module Histo = Graft_trace.Histo
 module Window = Graft_slo.Window
@@ -10,7 +10,6 @@ module Fairness = Graft_slo.Fairness
 module Slo = Graft_slo.Slo
 module Mttr = Graft_slo.Mttr
 module Serve = Graft_slo.Serve
-module Servegate = Graft_slo.Servegate
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -349,53 +348,6 @@ let test_serve_json_parses () =
       | Ok _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* The serve gate.                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_servegate_roundtrip () =
-  let r = Serve.run tiny in
-  match Servegate.parse_baseline (Servegate.to_json r) with
-  | Error msg -> Alcotest.fail msg
-  | Ok base -> (
-      match Servegate.gate ~baseline:base r with
-      | Error msg -> Alcotest.fail msg
-      | Ok checks ->
-          check_int "all metrics checked"
-            (List.length (Servegate.metrics r))
-            (List.length checks);
-          check_bool "self-comparison passes" true (Servegate.passed checks))
-
-let test_servegate_verdicts () =
-  let open Graft_report.Benchgate in
-  let c ~hb ~base ~cur =
-    Servegate.compare_metric ~threshold:0.10 ~higher_better:hb ~base ~cur
-  in
-  check_bool "small drift passes" true
-    (c ~hb:false ~base:100.0 ~cur:105.0 = Pass);
-  check_bool "latency up = regression" true
-    (c ~hb:false ~base:100.0 ~cur:120.0 = Regression);
-  check_bool "latency down = improvement" true
-    (c ~hb:false ~base:100.0 ~cur:80.0 = Improvement);
-  check_bool "throughput down = regression" true
-    (c ~hb:true ~base:100.0 ~cur:80.0 = Regression);
-  check_bool "throughput up = improvement" true
-    (c ~hb:true ~base:100.0 ~cur:120.0 = Improvement);
-  check_bool "zero baseline, zero current" true
-    (c ~hb:false ~base:0.0 ~cur:0.0 = Pass);
-  check_bool "zero baseline, nonzero current" true
-    (c ~hb:false ~base:0.0 ~cur:1.0 = Regression)
-
-let test_servegate_config_mismatch () =
-  let r = Serve.run tiny in
-  match Servegate.parse_baseline (Servegate.to_json r) with
-  | Error msg -> Alcotest.fail msg
-  | Ok base -> (
-      let r' = Serve.run { tiny with seed = 99 } in
-      match Servegate.gate ~baseline:base r' with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "config mismatch must be an error")
-
-(* ------------------------------------------------------------------ *)
 (* Entry point.                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -442,13 +394,5 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_serve_deterministic;
           Alcotest.test_case "report shape" `Quick test_serve_shape;
           Alcotest.test_case "json parses" `Quick test_serve_json_parses;
-        ] );
-      ( "servegate",
-        [
-          Alcotest.test_case "baseline roundtrip" `Quick
-            test_servegate_roundtrip;
-          Alcotest.test_case "verdicts" `Quick test_servegate_verdicts;
-          Alcotest.test_case "config mismatch" `Quick
-            test_servegate_config_mismatch;
         ] );
     ]

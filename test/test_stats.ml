@@ -1,10 +1,9 @@
-(* Tests for graft_stats: robust estimation, the measurement harness,
-   and the noise-aware regression gate (driven with synthetic numbers
-   so no benchmark runs in CI). *)
+(* Tests for graft_stats: robust estimation and the measurement
+   harness, plus the Minijson reader. The regression gate's cases live
+   in test_rowgate. *)
 
 module Robust = Graft_stats.Robust
 module Harness = Graft_stats.Harness
-module Benchgate = Graft_report.Benchgate
 module Minijson = Graft_util.Minijson
 
 let check_bool = Alcotest.(check bool)
@@ -93,104 +92,6 @@ let prop_estimate_ordered =
       e.Robust.ci95_lo <= e.Robust.median
       && e.Robust.median <= e.Robust.ci95_hi)
 
-(* ---------- gate verdicts on synthetic baselines ---------- *)
-
-let base ns lo hi = { Benchgate.b_ns = ns; b_lo = lo; b_hi = hi }
-
-let test_gate_verdicts () =
-  let t = 0.30 in
-  (* Overlapping CIs never fail, however far the median moved. *)
-  check_bool "overlap passes" true
-    (Benchgate.compare_ci ~threshold:t ~base:(base 100.0 90.0 110.0)
-       ~cur_ns:150.0 ~cur_lo:105.0 ~cur_hi:160.0
-    = Benchgate.Pass);
-  (* Disjoint but under threshold: still a pass. *)
-  check_bool "small real move passes" true
-    (Benchgate.compare_ci ~threshold:t ~base:(base 100.0 99.0 101.0)
-       ~cur_ns:110.0 ~cur_lo:109.0 ~cur_hi:111.0
-    = Benchgate.Pass);
-  (* Disjoint and beyond threshold: regression. *)
-  check_bool "real big move regresses" true
-    (Benchgate.compare_ci ~threshold:t ~base:(base 100.0 99.0 101.0)
-       ~cur_ns:140.0 ~cur_lo:138.0 ~cur_hi:142.0
-    = Benchgate.Regression);
-  (* Symmetric improvement. *)
-  check_bool "improvement detected" true
-    (Benchgate.compare_ci ~threshold:t ~base:(base 100.0 99.0 101.0)
-       ~cur_ns:60.0 ~cur_lo:59.0 ~cur_hi:61.0
-    = Benchgate.Improvement)
-
-let synthetic_v5 =
-  {|{"schema_version":5,"host":"ci","ocaml":"5.1.0",
-     "results":[{"graft":"md5_64k","interp_ns_per_op":1000.0,
-       "interp_ci95_lo":990.0,"interp_ci95_hi":1010.0,"interp_cv":0.01,
-       "jit_ns_per_op":400.0,"jit_ci95_lo":395.0,"jit_ci95_hi":405.0,
-       "jit_cv":0.01,"rounds":15,"jit_speedup":2.5}]}|}
-
-(* The last schema that carried the retired optimizing tier's columns. *)
-let synthetic_v4 =
-  {|{"schema_version":4,"host":"old","ocaml":"5.1.0",
-     "results":[{"graft":"md5_64k","interp_ns_per_op":1000.0,
-       "interp_ci95_lo":990.0,"interp_ci95_hi":1010.0,"interp_cv":0.01,
-       "opt_ns_per_op":400.0,"opt_ci95_lo":395.0,"opt_ci95_hi":405.0,
-       "opt_cv":0.01,"jit_ns_per_op":300.0,"jit_ci95_lo":295.0,
-       "jit_ci95_hi":305.0,"jit_cv":0.01,"rounds":15,"speedup":2.5,
-       "jit_speedup":3.33}]}|}
-
-let est median lo hi =
-  let e = Robust.estimate [| median |] in
-  { e with Robust.median; ci95_lo = lo; ci95_hi = hi }
-
-let row graft interp jit = { Benchgate.graft; interp; jit; rounds = 15 }
-
-let parse_ok text =
-  match Benchgate.parse_baseline text with
-  | Ok b -> b
-  | Error e -> Alcotest.fail (Benchgate.baseline_error_message e)
-
-let test_gate_on_parsed_baseline () =
-  let baseline = parse_ok synthetic_v5 in
-  (* Unchanged numbers: both tiers pass. *)
-  let ok =
-    Benchgate.gate ~baseline
-      [ row "md5_64k" (est 1005.0 992.0 1012.0) (est 402.0 396.0 406.0) ]
-  in
-  check_bool "unchanged passes" false (Benchgate.failed ok);
-  Alcotest.(check (list string)) "interp and jit are gated" [ "interp"; "jit" ]
-    (List.map (fun c -> c.Benchgate.c_tier) ok);
-  (* Doctored: interp CI-disjoint and 50% over. *)
-  let bad =
-    Benchgate.gate ~baseline
-      [ row "md5_64k" (est 1500.0 1480.0 1520.0) (est 402.0 396.0 406.0) ]
-  in
-  check_bool "doctored fails" true (Benchgate.failed bad);
-  (* Unknown grafts are skipped, not compared. *)
-  let skipped =
-    Benchgate.gate ~baseline
-      [ row "unknown" (est 1.0 1.0 1.0) (est 1.0 1.0 1.0) ]
-  in
-  Alcotest.(check int) "unknown skipped" 0 (List.length skipped)
-
-let test_v4_baseline_rejected () =
-  match Benchgate.parse_baseline synthetic_v4 with
-  | Error (Benchgate.Schema 4) -> ()
-  | Error e ->
-      Alcotest.failf "wrong error: %s" (Benchgate.baseline_error_message e)
-  | Ok _ -> Alcotest.fail "a v4 baseline parsed"
-
-let test_roundtrip_json () =
-  let rows =
-    [ row "md5_64k" (est 1000.0 990.0 1010.0) (est 200.0 198.0 202.0) ]
-  in
-  match parse_ok (Benchgate.to_json rows) with
-  | [ b ] ->
-      check_float "roundtrip ns" 1000.0 b.Benchgate.b_interp.Benchgate.b_ns;
-      check_float "roundtrip lo" 990.0 b.Benchgate.b_interp.Benchgate.b_lo;
-      check_float "roundtrip jit ns" 200.0 b.Benchgate.b_jit.Benchgate.b_ns;
-      check_bool "roundtrip gates clean" false
-        (Benchgate.failed (Benchgate.gate ~baseline:[ b ] rows))
-  | _ -> Alcotest.fail "expected one row"
-
 (* ---------- minijson ---------- *)
 
 let test_minijson () =
@@ -207,7 +108,12 @@ let test_minijson () =
         (Minijson.to_string (List.nth l 4)));
   check_bool "trailing junk rejected" true
     (Result.is_error (Minijson.parse "{} extra"));
-  check_bool "bad syntax rejected" true (Result.is_error (Minijson.parse "{"))
+  check_bool "bad syntax rejected" true (Result.is_error (Minijson.parse "{"));
+  check_bool "deep nesting rejected, not overflowed" true
+    (Result.is_error (Minijson.parse (String.make 1_000_000 '[')));
+  check_bool "moderate nesting parses" true
+    (Result.is_ok
+       (Minijson.parse (String.make 100 '[' ^ String.make 100 ']')))
 
 let () =
   Alcotest.run "graft_stats"
@@ -231,13 +137,5 @@ let () =
             prop_ci_contains_median; prop_rejection_idempotent;
             prop_constant_cv_zero; prop_estimate_ordered;
           ] );
-      ( "gate",
-        [
-          Alcotest.test_case "verdict rule" `Quick test_gate_verdicts;
-          Alcotest.test_case "parsed baseline" `Quick
-            test_gate_on_parsed_baseline;
-          Alcotest.test_case "v4 rejected" `Quick test_v4_baseline_rejected;
-          Alcotest.test_case "json roundtrip" `Quick test_roundtrip_json;
-          Alcotest.test_case "minijson" `Quick test_minijson;
-        ] );
+      ("minijson", [ Alcotest.test_case "minijson" `Quick test_minijson ]);
     ]
